@@ -445,13 +445,15 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.row_count, 4, "query 1 verbatim");
+        // Same literal order as the prepared text (first year above the
+        // second, first score below it), so the cached plan is re-driven.
         let r = db
             .execute_prepared(
                 &stmt,
                 &[
-                    Value::Int(0),
-                    Value::from("0"),
                     Value::Int(1),
+                    Value::from("0"),
+                    Value::Int(0),
                     Value::from("1"),
                 ],
             )

@@ -7,7 +7,7 @@ use basilisk_catalog::Catalog;
 use basilisk_core::{
     tagged_filter, tagged_join, Tag, TagMapBuilder, TagMapStrategy, TaggedRelation,
 };
-use basilisk_exec::{filter as plain_filter, hash_join, IdxRelation, JoinSide, TableSet};
+use basilisk_exec::{filter as plain_filter, hash_join, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{and, col, or, ColumnRef, PredicateTree};
 use basilisk_types::MaskArena;
 use basilisk_workload::{generate_synthetic, SyntheticConfig};
@@ -53,24 +53,24 @@ fn bench_filter(c: &mut Criterion) {
     let builder = TagMapBuilder::new(&f.tree, TagMapStrategy::Generalized { use_closure: true });
     let node = find(&f.tree, "t1.a1 < 0.2");
     let map = builder.filter_map(node, &[Tag::empty()]);
-    let base = TaggedRelation::base(IdxRelation::base("t1", f.rows));
-    let plain_base = IdxRelation::base("t1", f.rows);
-
     // One arena across iterations: after the first pass the pool is warm
     // and the measured loop is the allocation-free steady state.
     let arena = MaskArena::new();
+    let cx = ExecCtx::serial(&arena);
+    let base = TaggedRelation::base_in(IdxRelation::base_in("t1", f.rows, &arena), &arena);
+    let plain_base = IdxRelation::base_in("t1", f.rows, &arena);
     let mut group = c.benchmark_group("filter_20k");
     group.sample_size(20);
     group.bench_function("tagged", |b| {
         b.iter(|| {
-            let out = tagged_filter(&f.tables, &base, &f.tree, &map, &arena).unwrap();
+            let out = tagged_filter(&cx, &f.tables, &base, &f.tree, &map).unwrap();
             let n = out.num_slices();
             out.recycle(&arena);
             n
         })
     });
     group.bench_function("traditional", |b| {
-        b.iter(|| plain_filter(&f.tables, &plain_base, &f.tree, node, &arena).unwrap())
+        b.iter(|| plain_filter(&cx, &f.tables, &plain_base, &f.tree, node).unwrap())
     });
     group.finish();
 }
@@ -83,43 +83,33 @@ fn bench_join(c: &mut Criterion) {
     let n2 = find(&f.tree, "t1.a2 < 0.2");
     let mut tags = vec![Tag::empty()];
     let arena = MaskArena::new();
-    let mut left = TaggedRelation::base(IdxRelation::base("t1", f.rows));
+    let cx = ExecCtx::serial(&arena);
+    let mut left = TaggedRelation::base_in(IdxRelation::base_in("t1", f.rows, &arena), &arena);
     for node in [n1, n2] {
         let m = builder.filter_map(node, &tags);
         tags = builder.filter_output_tags(&m, &tags);
-        left = tagged_filter(&f.tables, &left, &f.tree, &m, &arena).unwrap();
+        left = tagged_filter(&cx, &f.tables, &left, &f.tree, &m).unwrap();
     }
-    let right = TaggedRelation::base(IdxRelation::base("t0", f.rows));
+    let right = TaggedRelation::base_in(IdxRelation::base_in("t0", f.rows, &arena), &arena);
     let jmap = builder.join_map(&tags, &[Tag::empty()]);
     let lk = ColumnRef::new("t1", "fid");
     let rk = ColumnRef::new("t0", "id");
 
-    let plain_left = IdxRelation::base("t1", f.rows);
-    let plain_right = IdxRelation::base("t0", f.rows);
+    let plain_left = IdxRelation::base_in("t1", f.rows, &arena);
+    let plain_right = IdxRelation::base_in("t0", f.rows, &arena);
 
     let mut group = c.benchmark_group("join_10k");
     group.sample_size(20);
     group.bench_function("tagged_selective_map", |b| {
         b.iter(|| {
-            let out = tagged_join(&f.tables, &left, &right, &lk, &rk, &jmap, &arena).unwrap();
+            let out = tagged_join(&cx, &f.tables, &left, &right, &lk, &rk, &jmap).unwrap();
             let n = out.num_tuples();
             out.recycle(&arena);
             n
         })
     });
     group.bench_function("traditional_full", |b| {
-        b.iter(|| {
-            hash_join(
-                &f.tables,
-                &plain_left,
-                &plain_right,
-                &lk,
-                &rk,
-                JoinSide::Smaller,
-                &arena,
-            )
-            .unwrap()
-        })
+        b.iter(|| hash_join(&cx, &f.tables, &plain_left, &plain_right, &lk, &rk).unwrap())
     });
     group.finish();
 }

@@ -20,10 +20,12 @@
 //! * `tagmap` — tag-map construction (§3.3: Precepts 1 and 2) plus the
 //!   naive strategy of §3.1 kept for ablation.
 //! * `ops` — the tagged filter (§2.2/§2.5.2), the shared-hash-table
-//!   tagged join (§2.3/§2.5.3) and the tag-filtered projection (§2.4);
-//!   every operator draws its mask/bitmap scratch from the caller's
-//!   [`basilisk_types::MaskArena`] and recycles it before returning, so
-//!   steady-state pipelines are allocation-free.
+//!   tagged join (§2.3/§2.5.3) and the tag-filtered selection (§2.4);
+//!   every operator runs against the caller's
+//!   [`basilisk_exec::ExecCtx`] — serial or morsel-parallel by its
+//!   `pool` — draws its mask/bitmap scratch from the context's arena
+//!   and recycles it before returning, so steady-state pipelines are
+//!   allocation-free.
 
 #![forbid(unsafe_code)]
 
@@ -34,10 +36,7 @@ mod tag;
 mod tagmap;
 
 pub use generalize::{generalize_tag, generalize_tag_closed, root_truth};
-pub use ops::{
-    filter_atom_profiles, tagged_filter, tagged_filter_par, tagged_join, tagged_join_par,
-    tagged_project, tagged_select_final,
-};
+pub use ops::{filter_atom_profiles, tagged_filter, tagged_join, tagged_select_final};
 pub use relation::TaggedRelation;
 pub use tag::Tag;
 pub use tagmap::{

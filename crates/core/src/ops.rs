@@ -1,12 +1,8 @@
 //! The tagged operators (§2.2–§2.5).
 
-use basilisk_exec::{
-    combine, eval_mask_parallel, partitioned_probe, project, FxHashMap, IdxRelation, JoinTable,
-    RelProvider, TableSet,
-};
-use basilisk_expr::eval::{eval_node_mask, profile_atoms, AtomProfile};
+use basilisk_exec::{combine, ExecCtx, FxHashMap, IdxRelation, JoinTable, RelProvider, TableSet};
+use basilisk_expr::eval::{profile_atoms, AtomProfile};
 use basilisk_expr::{ColumnRef, PredicateTree};
-use basilisk_sched::WorkerPool;
 use basilisk_storage::Column;
 use basilisk_types::{BasiliskError, Bitmap, MaskArena, Result};
 
@@ -31,47 +27,25 @@ use crate::tagmap::{FilterTagMap, JoinTagMap, ProjectionTags};
 ///   every output was pruned drop their slice without evaluation.
 ///
 /// All bitmaps — the union selection, the evaluation mask, and the output
-/// slices themselves — are checked out of `arena`; scratch is recycled
+/// slices themselves — are checked out of `cx.arena`; scratch is recycled
 /// before returning and the output slices go back to the pool when the
 /// executor consumes the returned relation (see
 /// [`TaggedRelation::recycle`]).
+///
+/// With a pool the predicate evaluates morsel-parallel (see
+/// [`ExecCtx::eval_mask`]): each worker evaluates its morsels of the
+/// union-of-slices selection, the coordinator stitches the disjoint word
+/// ranges back into one relation-length mask, and the per-slice
+/// pos/neg/unk routing happens on the stitched mask exactly as in the
+/// serial case — so output slices are bit-for-bit identical.
 pub fn tagged_filter(
+    cx: &ExecCtx<'_>,
     tables: &TableSet,
     input: &TaggedRelation,
     tree: &PredicateTree,
     map: &FilterTagMap,
-    arena: &MaskArena,
 ) -> Result<TaggedRelation> {
-    tagged_filter_impl(tables, input, tree, map, arena, None)
-}
-
-/// [`tagged_filter`] with the predicate evaluated morsel-parallel on
-/// `pool`'s workers: each worker evaluates its morsels of the
-/// union-of-slices selection into masks from its private arena, the
-/// coordinator stitches the disjoint word ranges back into one
-/// relation-length mask, and the per-slice pos/neg/unk routing happens
-/// on the stitched mask exactly as in the serial operator — so output
-/// slices are bit-for-bit identical. Falls back to the serial path when
-/// the pool or the relation is too small to fan out.
-pub fn tagged_filter_par(
-    tables: &TableSet,
-    input: &TaggedRelation,
-    tree: &PredicateTree,
-    map: &FilterTagMap,
-    arena: &MaskArena,
-    pool: &WorkerPool,
-) -> Result<TaggedRelation> {
-    tagged_filter_impl(tables, input, tree, map, arena, Some(pool))
-}
-
-fn tagged_filter_impl(
-    tables: &TableSet,
-    input: &TaggedRelation,
-    tree: &PredicateTree,
-    map: &FilterTagMap,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-) -> Result<TaggedRelation> {
+    let arena = cx.arena;
     let relation = input.relation().clone();
     let n = relation.len();
 
@@ -94,14 +68,9 @@ fn tagged_filter_impl(
     }
 
     if !union.is_zero() {
-        // Evaluate once over the union, straight off the base relation —
-        // morsel-parallel when a pool is supplied.
+        // Evaluate once over the union, straight off the base relation.
         let provider = RelProvider::new(tables, &relation);
-        let mask = match pool {
-            Some(pool) => eval_mask_parallel(tree, map.node, &provider, &union, arena, pool),
-            None => eval_node_mask(tree, map.node, &provider, &union, arena),
-        };
-        let mask = match mask {
+        let mask = match cx.eval_mask(tree, map.node, &provider, &union) {
             Ok(m) => m,
             Err(e) => {
                 recycle_slices(arena, out_slices);
@@ -205,60 +174,23 @@ pub fn filter_atom_profiles(
 /// slices"); hash values carry the tuple's slice so probes can dispatch
 /// through the `(left-slice, right-slice) → out-tag` table. Slices without
 /// any tag-map entry are discarded.
+///
+/// With a pool the probe is **partitioned** over the shared single-build
+/// table (see [`ExecCtx::probe`]): the participating right positions are
+/// split into morsel-sized chunks probed on the workers and each chunk's
+/// `(left, right, out-slice)` match triples are concatenated in chunk
+/// order — the order the serial probe loop emits, so the joined relation
+/// and its tag slices are identical.
 pub fn tagged_join(
+    cx: &ExecCtx<'_>,
     tables: &TableSet,
     left: &TaggedRelation,
     right: &TaggedRelation,
     left_key: &ColumnRef,
     right_key: &ColumnRef,
     map: &JoinTagMap,
-    arena: &MaskArena,
 ) -> Result<TaggedRelation> {
-    tagged_join_impl(tables, left, right, left_key, right_key, map, arena, None)
-}
-
-/// [`tagged_join`] with a **parallel partitioned probe** over the shared
-/// single-build hash table: the build side (union of participating left
-/// slices) is built once serially, the participating right positions are
-/// split into morsel-sized chunks probed on `pool`'s workers, and each
-/// chunk's `(left, right, out-slice)` match triples are concatenated in
-/// chunk order — the same order the serial probe loop emits, so the
-/// joined relation and its tag slices are identical. Falls back to the
-/// serial path when the probe side is too small to fan out.
-#[allow(clippy::too_many_arguments)]
-pub fn tagged_join_par(
-    tables: &TableSet,
-    left: &TaggedRelation,
-    right: &TaggedRelation,
-    left_key: &ColumnRef,
-    right_key: &ColumnRef,
-    map: &JoinTagMap,
-    arena: &MaskArena,
-    pool: &WorkerPool,
-) -> Result<TaggedRelation> {
-    tagged_join_impl(
-        tables,
-        left,
-        right,
-        left_key,
-        right_key,
-        map,
-        arena,
-        Some(pool),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn tagged_join_impl(
-    tables: &TableSet,
-    left: &TaggedRelation,
-    right: &TaggedRelation,
-    left_key: &ColumnRef,
-    right_key: &ColumnRef,
-    map: &JoinTagMap,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-) -> Result<TaggedRelation> {
+    let (arena, pool) = (cx.arena, cx.pool);
     if !left.relation().covers(&left_key.table) || !right.relation().covers(&right_key.table) {
         return Err(BasiliskError::Exec(format!(
             "join keys {left_key} / {right_key} not covered by inputs"
@@ -410,86 +342,35 @@ fn tagged_join_impl(
     };
 
     // The probe half, over one contiguous chunk of participating right
-    // positions: both the serial path (one full-range chunk) and each
-    // parallel worker run exactly this loop, so chunk outputs
-    // concatenated in range order equal the serial output.
-    let probe_chunk = |range: std::ops::Range<usize>,
-                       left_sel: &mut Vec<u32>,
-                       right_sel: &mut Vec<u32>,
-                       tuple_out: &mut Vec<u32>| {
-        for (j, &rpos) in right_positions[range.clone()].iter().enumerate() {
-            let Some(k) = basilisk_exec::join_key(&right_keys, range.start + j) else {
-                continue;
-            };
-            let matches = table.probe(&k);
-            if matches.is_empty() {
-                continue;
-            }
-            let rs = right_membership[rpos as usize].expect("participating tuple has a slice");
-            for &lpos in matches {
-                let ls = left_membership[lpos as usize].expect("participating tuple has a slice");
-                if let Some(&out_idx) = pair_to_out.get(&(ls, rs)) {
-                    left_sel.push(lpos);
-                    right_sel.push(rpos);
-                    tuple_out.push(out_idx as u32);
+    // positions; the third list is the per-tuple output-slice index,
+    // widened to u32 so it can live in a pooled index buffer like the
+    // selection vectors beside it.
+    let probed = cx.probe(
+        right_positions.len(),
+        |range, [left_sel, right_sel, tuple_out]| {
+            for (j, &rpos) in right_positions[range.clone()].iter().enumerate() {
+                let Some(k) = basilisk_exec::join_key(&right_keys, range.start + j) else {
+                    continue;
+                };
+                let matches = table.probe(&k);
+                if matches.is_empty() {
+                    continue;
+                }
+                let rs = right_membership[rpos as usize].expect("participating tuple has a slice");
+                for &lpos in matches {
+                    let ls =
+                        left_membership[lpos as usize].expect("participating tuple has a slice");
+                    if let Some(&out_idx) = pair_to_out.get(&(ls, rs)) {
+                        left_sel.push(lpos);
+                        right_sel.push(rpos);
+                        tuple_out.push(out_idx as u32);
+                    }
                 }
             }
-        }
-    };
-
-    let mut left_sel = arena.indices();
-    let mut right_sel = arena.indices();
-    // Per-tuple output-slice index, widened to u32 so it can live in a
-    // pooled index buffer like the selection vectors beside it.
-    let mut tuple_out = arena.indices();
-    let fanned_out = match pool {
-        None => Ok(false),
-        Some(pool) => partitioned_probe(
-            pool,
-            right_positions.len(),
-            |worker_arena, range| {
-                let mut ls = worker_arena.indices();
-                let mut rs = worker_arena.indices();
-                let mut to = worker_arena.indices();
-                probe_chunk(range, &mut ls, &mut rs, &mut to);
-                Ok((ls, rs, to))
-            },
-            |worker_arena, (ls, rs, to)| {
-                worker_arena.recycle_indices(ls);
-                worker_arena.recycle_indices(rs);
-                worker_arena.recycle_indices(to);
-            },
-            |worker, (ls, rs, to), pool| {
-                left_sel.extend_from_slice(&ls);
-                right_sel.extend_from_slice(&rs);
-                tuple_out.extend_from_slice(&to);
-                pool.with_arena(worker, |a| {
-                    a.recycle_indices(ls);
-                    a.recycle_indices(rs);
-                    a.recycle_indices(to);
-                });
-            },
-        ),
-    };
-    let fanned_out = match fanned_out {
-        Ok(f) => f,
-        Err(e) => {
-            arena.recycle_indices(left_sel);
-            arena.recycle_indices(right_sel);
-            arena.recycle_indices(tuple_out);
-            recycle_probe(right_positions, right_keys);
-            return Err(e);
-        }
-    };
-    if !fanned_out {
-        probe_chunk(
-            0..right_positions.len(),
-            &mut left_sel,
-            &mut right_sel,
-            &mut tuple_out,
-        );
-    }
+        },
+    );
     recycle_probe(right_positions, right_keys);
+    let [left_sel, right_sel, tuple_out] = probed?;
 
     let relation = combine(
         left.relation(),
@@ -555,28 +436,12 @@ pub fn tagged_select_final(
     out
 }
 
-/// Tag-filtered projection: materialize `columns` for admitted tuples.
-/// The intermediate selected relation is pooled scratch here (only the
-/// materialized values escape), so it is recycled before returning.
-pub fn tagged_project(
-    tables: &TableSet,
-    rel: &TaggedRelation,
-    allowed: &ProjectionTags,
-    columns: &[ColumnRef],
-    arena: &MaskArena,
-) -> Result<Vec<(ColumnRef, Column)>> {
-    let selected = tagged_select_final(rel, allowed, arena);
-    let out = project(tables, &selected, columns);
-    selected.recycle(arena);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tag::Tag;
     use crate::tagmap::{TagMapBuilder, TagMapStrategy};
-    use basilisk_exec::{filter as plain_filter, hash_join, JoinSide};
+    use basilisk_exec::{filter as plain_filter, hash_join, project_in};
     use basilisk_expr::{and, col, or, Expr, PredicateTree};
     use basilisk_storage::{Table, TableBuilder};
     use basilisk_types::{DataType, Value};
@@ -584,6 +449,39 @@ mod tests {
 
     fn arena() -> MaskArena {
         MaskArena::new()
+    }
+
+    /// A base index / tagged relation over a throwaway arena.
+    fn idx(alias: &str, rows: usize) -> IdxRelation {
+        IdxRelation::base_in(alias, rows, &arena())
+    }
+
+    /// `tagged_filter`, serial, over a throwaway arena.
+    fn filtered(
+        ts: &TableSet,
+        input: &TaggedRelation,
+        tree: &PredicateTree,
+        map: &FilterTagMap,
+    ) -> TaggedRelation {
+        tagged_filter(&ExecCtx::serial(&arena()), ts, input, tree, map).unwrap()
+    }
+
+    /// `left ⋈ right` on `t.id = mi_idx.movie_id`, serial.
+    fn join_on_movie_id(
+        ts: &TableSet,
+        left: &TaggedRelation,
+        right: &TaggedRelation,
+        map: &JoinTagMap,
+    ) -> TaggedRelation {
+        let (lk, rk) = (
+            ColumnRef::new("t", "id"),
+            ColumnRef::new("mi_idx", "movie_id"),
+        );
+        tagged_join(&ExecCtx::serial(&arena()), ts, left, right, &lk, &rk, map).unwrap()
+    }
+
+    fn tagged(alias: &str, rows: usize) -> TaggedRelation {
+        TaggedRelation::base_in(idx(alias, rows), &arena())
     }
 
     /// The exact data from the paper's Examples 1–4.
@@ -662,12 +560,12 @@ mod tests {
         let p4 = find(&tree, "mi_idx.score > '7.0'");
 
         // Left: title → P1 → P2.
-        let mut left = TaggedRelation::base(IdxRelation::base("t", 7));
+        let mut left = tagged("t", 7);
         let mut tags = vec![Tag::empty()];
         for node in [p1, p2] {
             let m = b.filter_map(node, &tags);
             tags = b.filter_output_tags(&m, &tags);
-            left = tagged_filter(&ts, &left, &tree, &m, &arena()).unwrap();
+            left = filtered(&ts, &left, &tree, &m);
             assert!(left.check_mutually_exclusive());
         }
         // Example 2: {year>2000} slice = rows {Dark Knight, Evolution,
@@ -684,12 +582,12 @@ mod tests {
         let left_tags = tags.clone();
 
         // Right: mi_idx → P3 → P4.
-        let mut right = TaggedRelation::base(IdxRelation::base("mi_idx", 6));
+        let mut right = tagged("mi_idx", 6);
         let mut rtags = vec![Tag::empty()];
         for node in [p3, p4] {
             let m = b.filter_map(node, &rtags);
             rtags = b.filter_output_tags(&m, &rtags);
-            right = tagged_filter(&ts, &right, &tree, &m, &arena()).unwrap();
+            right = filtered(&ts, &right, &tree, &m);
         }
         // Example 3: {score>8.0} = 4 rows; {score>8.0=F, score>7.0=T} = 2.
         assert_eq!(right.num_slices(), 2);
@@ -703,16 +601,7 @@ mod tests {
         // Join with tag map.
         let jm = b.join_map(&left_tags, &rtags);
         assert_eq!(jm.entries.len(), 3, "the (F,F) pairing is omitted");
-        let joined = tagged_join(
-            &ts,
-            &left,
-            &right,
-            &ColumnRef::new("t", "id"),
-            &ColumnRef::new("mi_idx", "movie_id"),
-            &jm,
-            &arena(),
-        )
-        .unwrap();
+        let joined = join_on_movie_id(&ts, &left, &right, &jm);
         assert!(joined.check_mutually_exclusive());
 
         // Example 4: output = Dark Knight(9.0), Avatar(7.9), Shawshank
@@ -722,17 +611,18 @@ mod tests {
         assert_eq!(final_rel.len(), 4);
 
         // Cross-check against the traditional engine.
+        let plain_arena = arena();
+        let cx = ExecCtx::serial(&plain_arena);
         let joined_plain = hash_join(
+            &cx,
             &ts,
-            &IdxRelation::base("t", 7),
-            &IdxRelation::base("mi_idx", 6),
+            &idx("t", 7),
+            &idx("mi_idx", 6),
             &ColumnRef::new("t", "id"),
             &ColumnRef::new("mi_idx", "movie_id"),
-            JoinSide::Smaller,
-            &arena(),
         )
         .unwrap();
-        let expected = plain_filter(&ts, &joined_plain, &tree, tree.root(), &arena()).unwrap();
+        let expected = plain_filter(&cx, &ts, &joined_plain, &tree, tree.root()).unwrap();
         assert_eq!(expected.len(), 4);
         let mut a: Vec<(u32, u32)> = (0..final_rel.len())
             .map(|i| {
@@ -755,10 +645,9 @@ mod tests {
         assert_eq!(a, e);
 
         // Projection materializes the right values.
-        let cols = tagged_project(
+        let cols = project_in(
             &ts,
-            &joined,
-            &proj,
+            &final_rel,
             &[
                 ColumnRef::new("t", "title"),
                 ColumnRef::new("mi_idx", "score"),
@@ -777,7 +666,7 @@ mod tests {
         let tree = PredicateTree::build(&query1());
         let b = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
         let p1 = find(&tree, "t.year > 2000");
-        let base = TaggedRelation::base(IdxRelation::base("t", 7));
+        let base = tagged("t", 7);
         let m = b.filter_map(p1, &[Tag::empty()]);
         let a = arena();
         let profiles = filter_atom_profiles(&ts, &base, &tree, &m, &a).unwrap();
@@ -798,9 +687,9 @@ mod tests {
         let tree = PredicateTree::build(&query1());
         let b = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
         let p1 = find(&tree, "t.year > 2000");
-        let base = TaggedRelation::base(IdxRelation::base("t", 7));
+        let base = tagged("t", 7);
         let m = b.filter_map(p1, &[Tag::empty()]);
-        let out = tagged_filter(&ts, &base, &tree, &m, &arena()).unwrap();
+        let out = filtered(&ts, &base, &tree, &m);
         assert_eq!(out.num_tuples(), 7, "relation keeps all 7 tuples");
         assert_eq!(out.num_tagged_tuples(), 7, "both outcomes kept here");
     }
@@ -814,15 +703,15 @@ mod tests {
         let p1 = find(&tree, "t.year > 2000");
         let p2 = find(&tree, "t.year > 1980");
 
-        let base = TaggedRelation::base(IdxRelation::base("t", 7));
+        let base = tagged("t", 7);
         let m1 = b.filter_map(p1, &[Tag::empty()]);
-        let after1 = tagged_filter(&ts, &base, &tree, &m1, &arena()).unwrap();
+        let after1 = filtered(&ts, &base, &tree, &m1);
         let tags1 = b.filter_output_tags(&m1, &[Tag::empty()]);
 
         let m2 = b.filter_map(p2, &tags1);
         // Only the {A1=F} slice has an entry; the pos slice passes through.
         assert_eq!(m2.entries().len(), 1);
-        let after2 = tagged_filter(&ts, &after1, &tree, &m2, &arena()).unwrap();
+        let after2 = filtered(&ts, &after1, &tree, &m2);
         let pos_tag = m1.entries()[0].pos.as_ref().unwrap();
         assert_eq!(
             after2.slice(pos_tag),
@@ -836,7 +725,7 @@ mod tests {
     fn dead_entry_removes_slice() {
         let ts = tset();
         let tree = PredicateTree::build(&col("t", "year").gt(2000i64));
-        let base = TaggedRelation::base(IdxRelation::base("t", 7));
+        let base = tagged("t", 7);
         // Hand-build a map whose entry has no outputs.
         let map = FilterTagMap::new(
             tree.root(),
@@ -847,7 +736,7 @@ mod tests {
                 unk: None,
             }],
         );
-        let out = tagged_filter(&ts, &base, &tree, &map, &arena()).unwrap();
+        let out = filtered(&ts, &base, &tree, &map);
         assert_eq!(out.num_slices(), 0);
         assert_eq!(out.num_tuples(), 7);
     }
@@ -875,8 +764,8 @@ mod tests {
         // unknown at root is dead → no unk output, no neg output.
         assert!(m.entries()[0].unk.is_none());
         assert!(m.entries()[0].neg.is_none());
-        let base = TaggedRelation::base(IdxRelation::base("t", 3));
-        let out = tagged_filter(&ts, &base, &tree, &m, &arena()).unwrap();
+        let base = tagged("t", 3);
+        let out = filtered(&ts, &base, &tree, &m);
         assert_eq!(out.num_slices(), 1);
         assert_eq!(out.num_tagged_tuples(), 1, "only year=2005 survives");
     }
@@ -889,10 +778,10 @@ mod tests {
         let b = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
         let p1 = find(&tree, "t.year > 2000");
 
-        let base_l = TaggedRelation::base(IdxRelation::base("t", 7));
+        let base_l = tagged("t", 7);
         let m = b.filter_map(p1, &[Tag::empty()]);
-        let left = tagged_filter(&ts, &base_l, &tree, &m, &arena()).unwrap();
-        let right = TaggedRelation::base(IdxRelation::base("mi_idx", 6));
+        let left = filtered(&ts, &base_l, &tree, &m);
+        let right = tagged("mi_idx", 6);
 
         // Tag map joining only the pos slice with the base slice.
         let pos_tag = m.entries()[0].pos.as_ref().unwrap().clone();
@@ -903,16 +792,7 @@ mod tests {
                 out: pos_tag.clone(),
             }],
         };
-        let joined = tagged_join(
-            &ts,
-            &left,
-            &right,
-            &ColumnRef::new("t", "id"),
-            &ColumnRef::new("mi_idx", "movie_id"),
-            &jm,
-            &arena(),
-        )
-        .unwrap();
+        let joined = join_on_movie_id(&ts, &left, &right, &jm);
         // pos slice = ids {1,2,7}; mi_idx movie_ids {1,3,4,5,6,7} →
         // matches for 1 and 7 only.
         assert_eq!(joined.num_tuples(), 2);
@@ -931,23 +811,9 @@ mod tests {
         let p3 = find(&tree, "mi_idx.score > '8.0'");
 
         let m_l = b.filter_map(p1, &[Tag::empty()]);
-        let left = tagged_filter(
-            &ts,
-            &TaggedRelation::base(IdxRelation::base("t", 7)),
-            &tree,
-            &m_l,
-            &arena(),
-        )
-        .unwrap();
+        let left = filtered(&ts, &tagged("t", 7), &tree, &m_l);
         let m_r = b.filter_map(p3, &[Tag::empty()]);
-        let right = tagged_filter(
-            &ts,
-            &TaggedRelation::base(IdxRelation::base("mi_idx", 6)),
-            &tree,
-            &m_r,
-            &arena(),
-        )
-        .unwrap();
+        let right = filtered(&ts, &tagged("mi_idx", 6), &tree, &m_r);
 
         let lt = b.filter_output_tags(&m_l, &[Tag::empty()]);
         let rt = b.filter_output_tags(&m_r, &[Tag::empty()]);
@@ -955,16 +821,7 @@ mod tests {
         // Entries (pos,pos) and (pos,neg-side) both map to {root=T}:
         // year>2000 ∧ score>8 ⇒ root, and year>2000 ∧ (score≤8) leaves
         // P4 unknown → different out tags actually; count distinct.
-        let joined = tagged_join(
-            &ts,
-            &left,
-            &right,
-            &ColumnRef::new("t", "id"),
-            &ColumnRef::new("mi_idx", "movie_id"),
-            &jm,
-            &arena(),
-        )
-        .unwrap();
+        let joined = join_on_movie_id(&ts, &left, &right, &jm);
         assert!(joined.check_mutually_exclusive());
         assert_eq!(
             joined.num_slices(),
@@ -988,22 +845,22 @@ mod tests {
         let g1 = find(&tree, "t.year > 2000");
         let l1 = find(&tree, "t.year < 1980");
 
-        let mut rel = TaggedRelation::base(IdxRelation::base("t", 7));
+        let mut rel = tagged("t", 7);
         let mut tags = vec![Tag::empty()];
         for node in [g1, l1] {
             let m = b.filter_map(node, &tags);
             tags = b.filter_output_tags(&m, &tags);
-            rel = tagged_filter(&ts, &rel, &tree, &m, &arena()).unwrap();
+            rel = filtered(&ts, &rel, &tree, &m);
         }
         let proj = b.projection_tags(&tags);
         let got = tagged_select_final(&rel, &proj, &arena());
 
         let expected = plain_filter(
+            &ExecCtx::serial(&arena()),
             &ts,
-            &IdxRelation::base("t", 7),
+            &idx("t", 7),
             &tree,
             tree.root(),
-            &arena(),
         )
         .unwrap();
         let mut a = got.col("t").unwrap().to_vec();

@@ -31,15 +31,8 @@ pub struct TaggedRelation {
 impl TaggedRelation {
     /// Wrap a base relation: one slice with the empty tag covering all
     /// tuples ("base tagged relations [...] contain only one relational
-    /// slice with the 'empty' tag").
-    pub fn base(relation: IdxRelation) -> TaggedRelation {
-        let all = Bitmap::all_set(relation.len());
-        TaggedRelation::from_slices(relation, vec![(Tag::empty(), all)])
-    }
-
-    /// [`Self::base`] with the all-tuples bitmap drawn from `arena` (the
-    /// executor's scan leaves, so even the pipeline's source bitmap is
-    /// pooled).
+    /// slice with the 'empty' tag"). The all-tuples bitmap is drawn from
+    /// `arena`, so even the pipeline's source bitmap is pooled.
     pub fn base_in(relation: IdxRelation, arena: &MaskArena) -> TaggedRelation {
         let all = arena.bitmap_ones(relation.len());
         if all.is_zero() {
@@ -128,27 +121,16 @@ impl TaggedRelation {
     }
 
     /// Union of the slices whose tags are in `tags` (missing tags are
-    /// ignored: the planner may reference tags that turned out empty).
-    pub fn union_of(&self, tags: &[Tag]) -> Bitmap {
-        let mut out = Bitmap::new(self.relation.len());
-        self.union_of_into(tags, &mut out);
-        out
-    }
-
-    /// [`Self::union_of`] into a pooled buffer: checkout from `arena`,
-    /// recycle when done.
+    /// ignored: the planner may reference tags that turned out empty),
+    /// into a buffer checked out of `arena` — recycle when done.
     pub fn union_of_in(&self, tags: &[Tag], arena: &MaskArena) -> Bitmap {
         let mut out = arena.bitmap(self.relation.len());
-        self.union_of_into(tags, &mut out);
-        out
-    }
-
-    fn union_of_into(&self, tags: &[Tag], out: &mut Bitmap) {
         for t in tags {
             if let Some(bm) = self.slice(t) {
                 out.union_with(bm);
             }
         }
+        out
     }
 
     /// Hand every slice bitmap — and the index relation's columns — back
@@ -199,13 +181,18 @@ mod tests {
     use basilisk_expr::ExprId;
     use basilisk_types::Truth;
 
+    /// A base index relation over a throwaway arena.
+    fn idx(rows: usize) -> IdxRelation {
+        IdxRelation::base_in("t", rows, &MaskArena::new())
+    }
+
     fn tag(n: u32) -> Tag {
         Tag::from_pairs([(ExprId(n), Truth::True)])
     }
 
     #[test]
     fn base_has_one_full_empty_tag_slice() {
-        let tr = TaggedRelation::base(IdxRelation::base("t", 5));
+        let tr = TaggedRelation::base_in(idx(5), &MaskArena::new());
         assert_eq!(tr.num_tuples(), 5);
         assert_eq!(tr.num_slices(), 1);
         assert_eq!(tr.slices()[0].0, Tag::empty());
@@ -216,7 +203,7 @@ mod tests {
 
     #[test]
     fn add_merge_and_drop_empty() {
-        let mut tr = TaggedRelation::from_slices(IdxRelation::base("t", 8), vec![]);
+        let mut tr = TaggedRelation::from_slices(idx(8), vec![]);
         assert_eq!(tr.num_slices(), 0);
         tr.add_slice(tag(1), Bitmap::from_indices(8, [0usize, 1]));
         tr.add_slice(tag(2), Bitmap::from_indices(8, [2usize]));
@@ -232,14 +219,14 @@ mod tests {
     #[test]
     fn union_of_selected_tags() {
         let tr = TaggedRelation::from_slices(
-            IdxRelation::base("t", 6),
+            idx(6),
             vec![
                 (tag(1), Bitmap::from_indices(6, [0usize, 1])),
                 (tag(2), Bitmap::from_indices(6, [3usize])),
                 (tag(3), Bitmap::from_indices(6, [5usize])),
             ],
         );
-        let u = tr.union_of(&[tag(1), tag(3), tag(9)]);
+        let u = tr.union_of_in(&[tag(1), tag(3), tag(9)], &MaskArena::new());
         assert_eq!(u.to_indices(), vec![0, 1, 5]);
         assert_eq!(tr.union_all().to_indices(), vec![0, 1, 3, 5]);
         assert_eq!(tr.tags().len(), 3);
@@ -248,7 +235,7 @@ mod tests {
     #[test]
     fn membership_vector() {
         let tr = TaggedRelation::from_slices(
-            IdxRelation::base("t", 4),
+            idx(4),
             vec![
                 (tag(1), Bitmap::from_indices(4, [2usize])),
                 (tag(2), Bitmap::from_indices(4, [0usize])),
@@ -260,7 +247,7 @@ mod tests {
 
     #[test]
     fn exclusivity_violation_detected() {
-        let mut tr = TaggedRelation::from_slices(IdxRelation::base("t", 4), vec![]);
+        let mut tr = TaggedRelation::from_slices(idx(4), vec![]);
         tr.add_slice(tag(1), Bitmap::from_indices(4, [1usize, 2]));
         tr.add_slice(tag(2), Bitmap::from_indices(4, [2usize, 3]));
         assert!(!tr.check_mutually_exclusive());
@@ -269,7 +256,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length")]
     fn wrong_bitmap_length_panics() {
-        let mut tr = TaggedRelation::base(IdxRelation::base("t", 4));
+        let mut tr = TaggedRelation::base_in(idx(4), &MaskArena::new());
         tr.add_slice(tag(1), Bitmap::new(5));
     }
 }

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use basilisk_core::{tagged_filter, tagged_join, TagMapBuilder, TagMapStrategy, TaggedRelation};
-use basilisk_exec::{filter as plain_filter, union_all_dedup, IdxRelation, TableSet};
+use basilisk_exec::{filter as plain_filter, union_all_dedup, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{and, col, or, ColumnRef, PredicateTree};
 use basilisk_storage::{Table, TableBuilder};
 use basilisk_types::{DataType, MaskArena};
@@ -58,7 +58,8 @@ fn failed_plain_filter_leaks_nothing() {
     let tree = failing_tree();
     let arena = MaskArena::new();
     let rel = IdxRelation::base_in("t", 100, &arena);
-    let err = plain_filter(&ts, &rel, &tree, tree.root(), &arena);
+    let cx = ExecCtx::serial(&arena);
+    let err = plain_filter(&cx, &ts, &rel, &tree, tree.root());
     assert!(err.is_err(), "missing column must fail evaluation");
     rel.recycle(&arena);
     assert_eq!(
@@ -69,7 +70,7 @@ fn failed_plain_filter_leaks_nothing() {
     // The pool still serves the repaired query afterwards.
     let ok_tree = PredicateTree::build(&col("t", "year").gt(2000i64));
     let rel = IdxRelation::base_in("t", 100, &arena);
-    assert!(plain_filter(&ts, &rel, &ok_tree, ok_tree.root(), &arena).is_ok());
+    assert!(plain_filter(&cx, &ts, &rel, &ok_tree, ok_tree.root()).is_ok());
 }
 
 #[test]
@@ -83,7 +84,7 @@ fn failed_tagged_filter_leaks_nothing() {
     let map = builder.filter_map(tree.root(), &[basilisk_core::Tag::empty()]);
     let input = TaggedRelation::base_in(IdxRelation::base_in("t", 100, &arena), &arena);
     let before_cols = arena.stats().columns;
-    let err = tagged_filter(&ts, &input, &tree, &map, &arena);
+    let err = tagged_filter(&ExecCtx::serial(&arena), &ts, &input, &tree, &map);
     assert!(err.is_err());
     input.recycle(&arena);
     assert_eq!(
@@ -113,13 +114,13 @@ fn failed_tagged_join_leaks_nothing() {
     // Key column covered by the relation but absent from the schema:
     // the key gather fails *after* the position buffers are checked out.
     let err = tagged_join(
+        &ExecCtx::serial(&arena),
         &ts,
         &left,
         &right,
         &ColumnRef::new("t", "no_such_column"),
         &ColumnRef::new("t", "id"),
         &jm,
-        &arena,
     );
     assert!(err.is_err());
     left.recycle(&arena);

@@ -9,7 +9,7 @@
 //!   (filters only drop or re-label, never invent tuples).
 
 use basilisk_core::{tagged_filter, Tag, TagMapBuilder, TagMapStrategy, TaggedRelation};
-use basilisk_exec::{IdxRelation, TableSet};
+use basilisk_exec::{ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{and, col, or, Expr, PredicateTree};
 use basilisk_storage::{Column, Table};
 use basilisk_types::MaskArena;
@@ -59,13 +59,15 @@ proptest! {
         let tree = PredicateTree::build(&pred);
         let builder =
             TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
-        let mut rel = TaggedRelation::base(IdxRelation::base("t", values.len()));
+        let cx = ExecCtx::serial(&arena);
+        let mut rel =
+            TaggedRelation::base_in(IdxRelation::base_in("t", values.len(), &arena), &arena);
         let mut tags = vec![Tag::empty()];
         for node in tree.atom_ids() {
             let map = builder.filter_map(node, &tags);
             tags = builder.filter_output_tags(&map, &tags);
             let prev_union = rel.union_all();
-            rel = tagged_filter(&tables, &rel, &tree, &map, &arena).unwrap();
+            rel = tagged_filter(&cx, &tables, &rel, &tree, &map).unwrap();
             // Invariants.
             prop_assert!(rel.check_mutually_exclusive());
             prop_assert_eq!(rel.num_tuples(), values.len(), "relation never rewritten");
@@ -83,11 +85,11 @@ proptest! {
         let proj = builder.projection_tags(&tags);
         let selected = basilisk_core::tagged_select_final(&rel, &proj, &arena);
         let expected = basilisk_exec::filter(
+            &cx,
             &tables,
-            &IdxRelation::base("t", values.len()),
+            &IdxRelation::base_in("t", values.len(), &arena),
             &tree,
             tree.root(),
-            &arena,
         )
         .unwrap();
         let mut a = selected.col("t").unwrap().to_vec();

@@ -7,11 +7,8 @@
 
 use std::sync::Arc;
 
-use basilisk_core::{
-    tagged_filter, tagged_filter_par, tagged_join, tagged_join_par, TagMapBuilder, TagMapStrategy,
-    TaggedRelation,
-};
-use basilisk_exec::{IdxRelation, TableSet};
+use basilisk_core::{tagged_filter, tagged_join, TagMapBuilder, TagMapStrategy, TaggedRelation};
+use basilisk_exec::{ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{and, col, or, ColumnRef, PredicateTree};
 use basilisk_sched::WorkerPool;
 use basilisk_storage::{Table, TableBuilder};
@@ -69,6 +66,20 @@ fn tree() -> PredicateTree {
     ]))
 }
 
+/// The context the parallel operators run under: `pool: Some`.
+fn parallel<'a>(arena: &'a MaskArena, pool: &'a WorkerPool) -> ExecCtx<'a> {
+    ExecCtx {
+        arena,
+        pool: Some(pool),
+        tracer: None,
+    }
+}
+
+/// A base tagged relation drawn from `arena`.
+fn base(table: &str, rows: usize, arena: &MaskArena) -> TaggedRelation {
+    TaggedRelation::base_in(IdxRelation::base_in(table, rows, arena), arena)
+}
+
 /// Tags + slice row sets, in deterministic slice order.
 fn fingerprint(rel: &TaggedRelation) -> Vec<(String, Vec<u32>)> {
     rel.slices()
@@ -94,25 +105,32 @@ fn tagged_filter_slices_identical_across_workers() {
     assert!(atoms.len() >= 2);
 
     let serial_arena = MaskArena::new();
-    let mut serial_rel = TaggedRelation::base(IdxRelation::base("t", ROWS));
+    let mut serial_rel = base("t", ROWS, &serial_arena);
     let mut tags = vec![basilisk_core::Tag::empty()];
     let mut serial_steps = Vec::new();
     for &node in &atoms {
         let map = builder.filter_map(node, &tags);
         tags = builder.filter_output_tags(&map, &tags);
-        serial_rel = tagged_filter(&ts, &serial_rel, &tree, &map, &serial_arena).unwrap();
+        serial_rel = tagged_filter(
+            &ExecCtx::serial(&serial_arena),
+            &ts,
+            &serial_rel,
+            &tree,
+            &map,
+        )
+        .unwrap();
         serial_steps.push(fingerprint(&serial_rel));
     }
 
     for workers in [1, 2, 3, 8] {
         let pool = WorkerPool::new(workers).with_morsel_rows(128);
         let arena = MaskArena::new();
-        let mut rel = TaggedRelation::base(IdxRelation::base("t", ROWS));
+        let mut rel = base("t", ROWS, &arena);
         let mut tags = vec![basilisk_core::Tag::empty()];
         for (step, &node) in atoms.iter().enumerate() {
             let map = builder.filter_map(node, &tags);
             tags = builder.filter_output_tags(&map, &tags);
-            rel = tagged_filter_par(&ts, &rel, &tree, &map, &arena, &pool).unwrap();
+            rel = tagged_filter(&parallel(&arena, &pool), &ts, &rel, &tree, &map).unwrap();
             assert_eq!(
                 fingerprint(&rel),
                 serial_steps[step],
@@ -134,12 +152,9 @@ fn tagged_join_identical_across_workers() {
     let tree = tree();
     let builder = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
 
-    let build_side = |arena: &MaskArena,
-                      pool: Option<&WorkerPool>,
-                      table: &str|
-     -> (TaggedRelation, Vec<basilisk_core::Tag>) {
+    let build_side = |cx: &ExecCtx<'_>, table: &str| -> (TaggedRelation, Vec<basilisk_core::Tag>) {
         let rows = if table == "t" { ROWS } else { 2 * ROWS };
-        let mut rel = TaggedRelation::base(IdxRelation::base(table, rows));
+        let mut rel = base(table, rows, cx.arena);
         let mut tags = vec![basilisk_core::Tag::empty()];
         for id in tree.atom_ids() {
             if tree.atom(id).unwrap().column().table != table {
@@ -147,10 +162,7 @@ fn tagged_join_identical_across_workers() {
             }
             let map = builder.filter_map(id, &tags);
             tags = builder.filter_output_tags(&map, &tags);
-            rel = match pool {
-                Some(p) => tagged_filter_par(&ts, &rel, &tree, &map, arena, p).unwrap(),
-                None => tagged_filter(&ts, &rel, &tree, &map, arena).unwrap(),
-            };
+            rel = tagged_filter(cx, &ts, &rel, &tree, &map).unwrap();
         }
         (rel, tags)
     };
@@ -159,10 +171,11 @@ fn tagged_join_identical_across_workers() {
     let rk = ColumnRef::new("mi", "movie_id");
 
     let serial_arena = MaskArena::new();
-    let (sl, slt) = build_side(&serial_arena, None, "t");
-    let (sr, srt) = build_side(&serial_arena, None, "mi");
+    let serial_cx = ExecCtx::serial(&serial_arena);
+    let (sl, slt) = build_side(&serial_cx, "t");
+    let (sr, srt) = build_side(&serial_cx, "mi");
     let jm = builder.join_map(&slt, &srt);
-    let serial = tagged_join(&ts, &sl, &sr, &lk, &rk, &jm, &serial_arena).unwrap();
+    let serial = tagged_join(&serial_cx, &ts, &sl, &sr, &lk, &rk, &jm).unwrap();
     let serial_fp = fingerprint(&serial);
     let serial_tuples: Vec<Vec<u32>> = (0..serial.num_tuples())
         .map(|i| serial.relation().tuple(i))
@@ -172,10 +185,11 @@ fn tagged_join_identical_across_workers() {
     for workers in [1, 2, 3, 8] {
         let pool = WorkerPool::new(workers).with_morsel_rows(128);
         let arena = MaskArena::new();
-        let (l, lt) = build_side(&arena, Some(&pool), "t");
-        let (r, rt) = build_side(&arena, Some(&pool), "mi");
+        let cx = parallel(&arena, &pool);
+        let (l, lt) = build_side(&cx, "t");
+        let (r, rt) = build_side(&cx, "mi");
         let jm = builder.join_map(&lt, &rt);
-        let joined = tagged_join_par(&ts, &l, &r, &lk, &rk, &jm, &arena, &pool).unwrap();
+        let joined = tagged_join(&cx, &ts, &l, &r, &lk, &rk, &jm).unwrap();
         assert_eq!(
             fingerprint(&joined),
             serial_fp,
@@ -210,8 +224,9 @@ fn injected_eval_failure_strands_nothing_in_worker_arenas() {
     for workers in [2, 3, 8] {
         let pool = WorkerPool::new(workers).with_morsel_rows(64);
         let arena = MaskArena::new();
-        let input = TaggedRelation::base_in(IdxRelation::base_in("t", ROWS, &arena), &arena);
-        let err = tagged_filter_par(&ts, &input, &bad, &map, &arena, &pool);
+        let cx = parallel(&arena, &pool);
+        let input = base("t", ROWS, &arena);
+        let err = tagged_filter(&cx, &ts, &input, &bad, &map);
         assert!(err.is_err(), "type mismatch must fail");
         input.recycle(&arena);
         assert_eq!(
@@ -231,8 +246,8 @@ fn injected_eval_failure_strands_nothing_in_worker_arenas() {
             col("t", "name").like("m1%"),
         ]));
         let gmap = builder_for(&good).filter_map(good.root(), &[basilisk_core::Tag::empty()]);
-        let input = TaggedRelation::base_in(IdxRelation::base_in("t", ROWS, &arena), &arena);
-        let out = tagged_filter_par(&ts, &input, &good, &gmap, &arena, &pool).unwrap();
+        let input = base("t", ROWS, &arena);
+        let out = tagged_filter(&cx, &ts, &input, &good, &gmap).unwrap();
         input.recycle(&arena);
         out.recycle(&arena);
         assert_eq!(arena.outstanding(), 0);
@@ -264,8 +279,9 @@ fn empty_relations_parallel() {
     let arena = MaskArena::new();
 
     let map = builder.filter_map(tree.atom_ids()[0], &[basilisk_core::Tag::empty()]);
-    let input = TaggedRelation::base_in(IdxRelation::base_in("t", 0, &arena), &arena);
-    let filtered = tagged_filter_par(&ts, &input, &tree, &map, &arena, &pool).unwrap();
+    let cx = parallel(&arena, &pool);
+    let input = base("t", 0, &arena);
+    let filtered = tagged_filter(&cx, &ts, &input, &tree, &map).unwrap();
     assert_eq!(filtered.num_tuples(), 0);
     assert_eq!(filtered.num_slices(), 0);
     input.recycle(&arena);
@@ -274,17 +290,16 @@ fn empty_relations_parallel() {
         &[basilisk_core::Tag::empty()],
         &[basilisk_core::Tag::empty()],
     );
-    let l = TaggedRelation::base_in(IdxRelation::base_in("t", 0, &arena), &arena);
-    let r = TaggedRelation::base_in(IdxRelation::base_in("mi", 0, &arena), &arena);
-    let joined = tagged_join_par(
+    let l = base("t", 0, &arena);
+    let r = base("mi", 0, &arena);
+    let joined = tagged_join(
+        &cx,
         &ts,
         &l,
         &r,
         &ColumnRef::new("t", "id"),
         &ColumnRef::new("mi", "movie_id"),
         &jm,
-        &arena,
-        &pool,
     )
     .unwrap();
     assert_eq!(joined.num_tuples(), 0);

@@ -18,9 +18,6 @@ mod par;
 mod relation;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, JoinTable};
-pub use ops::{
-    combine, filter, filter_par, hash_join, hash_join_par, project, project_count, project_in,
-    relation_atom_profiles, union_all_dedup, JoinSide,
-};
-pub use par::{eval_mask_parallel, partitioned_probe};
+pub use ops::{combine, filter, hash_join, project_in, relation_atom_profiles, union_all_dedup};
+pub use par::ExecCtx;
 pub use relation::{join_key, IdxRelation, RelProvider, TableSet};

@@ -2,14 +2,13 @@
 
 use std::sync::Arc;
 
-use basilisk_expr::eval::{eval_node_mask, profile_atoms, AtomProfile};
+use basilisk_expr::eval::{profile_atoms, AtomProfile};
 use basilisk_expr::{ColumnRef, ExprId, PredicateTree};
-use basilisk_sched::WorkerPool;
 use basilisk_storage::Column;
 use basilisk_types::{BasiliskError, MaskArena, Result};
 
 use crate::hash::JoinTable;
-use crate::par::{eval_mask_parallel, partitioned_probe, probe_range};
+use crate::par::{probe_range, ExecCtx};
 use crate::relation::{IdxRelation, RelProvider, TableSet};
 
 /// Filter: evaluate a predicate-tree node over the relation and keep the
@@ -17,48 +16,22 @@ use crate::relation::{IdxRelation, RelProvider, TableSet};
 ///
 /// Uses the vectorized [`TruthMask`](basilisk_types::TruthMask) path, so
 /// the traditional engine and the tagged engine share one evaluation
-/// kernel and their benchmark comparison stays apples-to-apples. All
-/// scratch (the all-ones selection, the result mask, the index decode
-/// buffer) comes from `arena` and is recycled before returning.
+/// kernel and their benchmark comparison stays apples-to-apples —
+/// morsel-parallel on `cx.pool` when the relation warrants it (see
+/// [`ExecCtx::eval_mask`]), identical output either way. All scratch (the
+/// all-ones selection, the result mask, the index decode buffer) comes
+/// from `cx.arena` and is recycled before returning.
 pub fn filter(
+    cx: &ExecCtx<'_>,
     tables: &TableSet,
     relation: &IdxRelation,
     tree: &PredicateTree,
     node: ExprId,
-    arena: &MaskArena,
 ) -> Result<IdxRelation> {
-    filter_impl(tables, relation, tree, node, arena, None)
-}
-
-/// [`filter`] with morsel-parallel predicate evaluation on `pool`'s
-/// workers (see [`eval_mask_parallel`]); identical output, and the plain
-/// serial path whenever the pool or the relation is too small to fan
-/// out.
-pub fn filter_par(
-    tables: &TableSet,
-    relation: &IdxRelation,
-    tree: &PredicateTree,
-    node: ExprId,
-    arena: &MaskArena,
-    pool: &WorkerPool,
-) -> Result<IdxRelation> {
-    filter_impl(tables, relation, tree, node, arena, Some(pool))
-}
-
-fn filter_impl(
-    tables: &TableSet,
-    relation: &IdxRelation,
-    tree: &PredicateTree,
-    node: ExprId,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-) -> Result<IdxRelation> {
+    let arena = cx.arena;
     let provider = RelProvider::new(tables, relation);
     let sel = arena.bitmap_ones(relation.len());
-    let mask = match pool {
-        Some(pool) => eval_mask_parallel(tree, node, &provider, &sel, arena, pool),
-        None => eval_node_mask(tree, node, &provider, &sel, arena),
-    };
+    let mask = cx.eval_mask(tree, node, &provider, &sel);
     // Recycle the selection before propagating any evaluation error —
     // failed executions must not strand pooled buffers.
     arena.recycle_bitmap(sel);
@@ -87,83 +60,32 @@ pub fn relation_atom_profiles(
     out
 }
 
-/// Which side of a hash join the hash table is built from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinSide {
-    Left,
-    Right,
-    /// Build from whichever input has fewer tuples (the paper estimates
-    /// both sides and picks the cheaper one).
-    Smaller,
-}
-
-/// Hash equi-join of two index relations on `left_key = right_key`.
+/// Hash equi-join of two index relations on `left_key = right_key`,
+/// building on the smaller input (the paper estimates both sides and
+/// picks the cheaper one).
 ///
 /// NULL keys never match. The output covers the union of both sides'
-/// tables, in left-then-right column order. Selection vectors are pooled
-/// scratch and the output columns come from the arena's column pool.
+/// tables, in left-then-right column order. One shared build table is
+/// built serially; the probe runs through [`ExecCtx::probe`] —
+/// partitioned over `cx.pool` when the probe side warrants it, per-chunk
+/// match lists concatenated in chunk order, so output is identical to
+/// the serial join. Selection vectors are pooled scratch and the output
+/// columns come from the arena's column pool.
 pub fn hash_join(
+    cx: &ExecCtx<'_>,
     tables: &TableSet,
     left: &IdxRelation,
     right: &IdxRelation,
     left_key: &ColumnRef,
     right_key: &ColumnRef,
-    side: JoinSide,
-    arena: &MaskArena,
 ) -> Result<IdxRelation> {
-    hash_join_impl(tables, left, right, left_key, right_key, side, arena, None)
-}
-
-/// [`hash_join`] with a **parallel partitioned probe**: one shared build
-/// table (built serially — the build side is the smaller input), probe
-/// positions split into morsel-sized chunks run on `pool`'s workers,
-/// per-chunk match lists concatenated in chunk order. Identical output
-/// to the serial join, and the serial path whenever the probe side is
-/// too small to fan out.
-#[allow(clippy::too_many_arguments)]
-pub fn hash_join_par(
-    tables: &TableSet,
-    left: &IdxRelation,
-    right: &IdxRelation,
-    left_key: &ColumnRef,
-    right_key: &ColumnRef,
-    side: JoinSide,
-    arena: &MaskArena,
-    pool: &WorkerPool,
-) -> Result<IdxRelation> {
-    hash_join_impl(
-        tables,
-        left,
-        right,
-        left_key,
-        right_key,
-        side,
-        arena,
-        Some(pool),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn hash_join_impl(
-    tables: &TableSet,
-    left: &IdxRelation,
-    right: &IdxRelation,
-    left_key: &ColumnRef,
-    right_key: &ColumnRef,
-    side: JoinSide,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-) -> Result<IdxRelation> {
+    let arena = cx.arena;
     if !left.covers(&left_key.table) || !right.covers(&right_key.table) {
         return Err(BasiliskError::Exec(format!(
             "join keys {left_key} / {right_key} not covered by inputs"
         )));
     }
-    let build_left = match side {
-        JoinSide::Left => true,
-        JoinSide::Right => false,
-        JoinSide::Smaller => left.len() <= right.len(),
-    };
+    let build_left = left.len() <= right.len();
     let (build, probe, build_key, probe_key) = if build_left {
         (left, right, left_key, right_key)
     } else {
@@ -189,52 +111,11 @@ fn hash_join_impl(
     let table = JoinTable::build(&build_col, |i| i as u32);
     build_col.recycle(arena);
 
-    let mut build_sel = arena.indices();
-    let mut probe_sel = arena.indices();
-    let fanned_out = match pool {
-        None => Ok(false),
-        Some(pool) => partitioned_probe(
-            pool,
-            probe.len(),
-            |worker_arena, range| {
-                let mut bs = worker_arena.indices();
-                let mut ps = worker_arena.indices();
-                probe_range(&table, &probe_col, range, &mut bs, &mut ps);
-                Ok((bs, ps))
-            },
-            |worker_arena, (bs, ps)| {
-                worker_arena.recycle_indices(bs);
-                worker_arena.recycle_indices(ps);
-            },
-            |worker, (bs, ps), pool| {
-                build_sel.extend_from_slice(&bs);
-                probe_sel.extend_from_slice(&ps);
-                pool.with_arena(worker, |a| {
-                    a.recycle_indices(bs);
-                    a.recycle_indices(ps);
-                });
-            },
-        ),
-    };
-    let fanned_out = match fanned_out {
-        Ok(f) => f,
-        Err(e) => {
-            arena.recycle_indices(build_sel);
-            arena.recycle_indices(probe_sel);
-            probe_col.recycle(arena);
-            return Err(e);
-        }
-    };
-    if !fanned_out {
-        probe_range(
-            &table,
-            &probe_col,
-            0..probe.len(),
-            &mut build_sel,
-            &mut probe_sel,
-        );
-    }
+    let probed = cx.probe(probe.len(), |range, [build_sel, probe_sel]| {
+        probe_range(&table, &probe_col, range, build_sel, probe_sel)
+    });
     probe_col.recycle(arena);
+    let [build_sel, probe_sel] = probed?;
 
     let (left_sel, right_sel) = if build_left {
         (&build_sel, &probe_sel)
@@ -376,24 +257,10 @@ pub fn union_all_dedup(inputs: &[IdxRelation], arena: &MaskArena) -> Result<IdxR
     ))
 }
 
-/// Projection: materialize the requested columns' values for every tuple.
-pub fn project(
-    tables: &TableSet,
-    relation: &IdxRelation,
-    columns: &[ColumnRef],
-) -> Result<Vec<(ColumnRef, Column)>> {
-    let mut out = Vec::with_capacity(columns.len());
-    for cref in columns {
-        let handle = tables.column(cref)?;
-        let rows = relation.col(&cref.table)?;
-        out.push((cref.clone(), handle.gather(rows)?));
-    }
-    Ok(out)
-}
-
-/// [`project`] into pooled value buffers: every output column's typed
-/// payload (and validity bitmap) comes from the arena, closing the last
-/// per-execute allocation on the serving path. The produced columns must
+/// Projection: materialize the requested columns' values for every tuple
+/// into pooled value buffers — every output column's typed payload (and
+/// validity bitmap) comes from the arena, closing the last per-execute
+/// allocation on the serving path. The produced columns must
 /// return through `Column::recycle` — the session defers result columns
 /// and sweeps them once the caller releases the output. A failing later
 /// column recycles the earlier ones before propagating.
@@ -419,12 +286,6 @@ pub fn project_in(
         }
     }
     Ok(out)
-}
-
-/// Count-only projection (the figure harnesses verify result cardinality
-/// without materializing values).
-pub fn project_count(relation: &IdxRelation) -> usize {
-    relation.len()
 }
 
 #[cfg(test)]
@@ -459,12 +320,18 @@ mod tests {
         TableSet::from_tables(vec![("t".into(), title()), ("s".into(), scores())])
     }
 
+    /// A base relation over a throwaway arena.
+    fn base(alias: &str, rows: usize) -> IdxRelation {
+        IdxRelation::base_in(alias, rows, &MaskArena::new())
+    }
+
     #[test]
     fn filter_keeps_true_rows() {
         let ts = tset();
-        let rel = IdxRelation::base("t", 5);
+        let rel = base("t", 5);
         let tree = PredicateTree::build(&col("t", "year").gt(2000i64));
-        let out = filter(&ts, &rel, &tree, tree.root(), &MaskArena::new()).unwrap();
+        let arena = MaskArena::new();
+        let out = filter(&ExecCtx::serial(&arena), &ts, &rel, &tree, tree.root()).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(**out.col("t").unwrap(), vec![0, 1]);
     }
@@ -472,20 +339,21 @@ mod tests {
     #[test]
     fn filter_complex_predicate() {
         let ts = tset();
-        let rel = IdxRelation::base("t", 5);
+        let rel = base("t", 5);
         let e = or(vec![
             col("t", "year").gt(2000i64),
             col("t", "year").lt(1980i64),
         ]);
         let tree = PredicateTree::build(&e);
-        let out = filter(&ts, &rel, &tree, tree.root(), &MaskArena::new()).unwrap();
+        let arena = MaskArena::new();
+        let out = filter(&ExecCtx::serial(&arena), &ts, &rel, &tree, tree.root()).unwrap();
         assert_eq!(out.len(), 3); // 2008, 2001, 1972
     }
 
     #[test]
     fn relation_atom_profiles_cover_every_tuple() {
         let ts = tset();
-        let rel = IdxRelation::base("t", 5);
+        let rel = base("t", 5);
         let e = or(vec![
             col("t", "year").gt(2000i64),
             col("t", "year").lt(1980i64),
@@ -506,16 +374,16 @@ mod tests {
     #[test]
     fn hash_join_matches_keys() {
         let ts = tset();
-        let t = IdxRelation::base("t", 5);
-        let s = IdxRelation::base("s", 5);
+        let t = base("t", 5);
+        let s = base("s", 5);
+        let arena = MaskArena::new();
         let out = hash_join(
+            &ExecCtx::serial(&arena),
             &ts,
             &t,
             &s,
             &ColumnRef::new("t", "id"),
             &ColumnRef::new("s", "movie_id"),
-            JoinSide::Smaller,
-            &MaskArena::new(),
         )
         .unwrap();
         // t ids 1..5 join s movie_ids {1,3,4,5,6} → 4 matches.
@@ -529,28 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_join_build_side_invariant() {
-        let ts = tset();
-        let t = IdxRelation::base("t", 5);
-        let s = IdxRelation::base("s", 5);
-        let lk = ColumnRef::new("t", "id");
-        let rk = ColumnRef::new("s", "movie_id");
-        let arena = MaskArena::new();
-        let a = hash_join(&ts, &t, &s, &lk, &rk, JoinSide::Left, &arena).unwrap();
-        let b = hash_join(&ts, &t, &s, &lk, &rk, JoinSide::Right, &arena).unwrap();
-        assert_eq!(a.len(), b.len());
-        let mut pa: Vec<(u32, u32)> = (0..a.len())
-            .map(|i| (a.col("t").unwrap()[i], a.col("s").unwrap()[i]))
-            .collect();
-        let mut pb: Vec<(u32, u32)> = (0..b.len())
-            .map(|i| (b.col("t").unwrap()[i], b.col("s").unwrap()[i]))
-            .collect();
-        pa.sort_unstable();
-        pb.sort_unstable();
-        assert_eq!(pa, pb);
-    }
-
-    #[test]
     fn hash_join_null_keys_never_match() {
         let mut b = TableBuilder::new("l").column("k", DataType::Int);
         b.push_row(vec![Value::Null]).unwrap();
@@ -561,14 +407,14 @@ mod tests {
         b.push_row(vec![1i64.into()]).unwrap();
         let r = Arc::new(b.finish().unwrap());
         let ts = TableSet::from_tables(vec![("l".into(), l), ("r".into(), r)]);
+        let arena = MaskArena::new();
         let out = hash_join(
+            &ExecCtx::serial(&arena),
             &ts,
-            &IdxRelation::base("l", 2),
-            &IdxRelation::base("r", 2),
+            &base("l", 2),
+            &base("r", 2),
             &ColumnRef::new("l", "k"),
             &ColumnRef::new("r", "k"),
-            JoinSide::Smaller,
-            &MaskArena::new(),
         )
         .unwrap();
         assert_eq!(out.len(), 1, "only the 1=1 pair; NULL≠NULL");
@@ -577,25 +423,26 @@ mod tests {
     #[test]
     fn join_key_not_covered_errors() {
         let ts = tset();
-        let t = IdxRelation::base("t", 5);
-        let s = IdxRelation::base("s", 5);
+        let t = base("t", 5);
+        let s = base("s", 5);
+        let arena = MaskArena::new();
         assert!(hash_join(
+            &ExecCtx::serial(&arena),
             &ts,
             &t,
             &s,
             &ColumnRef::new("s", "movie_id"),
             &ColumnRef::new("t", "id"),
-            JoinSide::Smaller,
-            &MaskArena::new(),
         )
         .is_err());
     }
 
     #[test]
     fn union_dedups_across_inputs() {
-        let a = IdxRelation::base("t", 5).select(&[0, 1, 2]);
-        let b = IdxRelation::base("t", 5).select(&[2, 3]);
-        let u = union_all_dedup(&[a, b], &MaskArena::new()).unwrap();
+        let arena = MaskArena::new();
+        let a = base("t", 5).select_in(&[0, 1, 2], &arena);
+        let b = base("t", 5).select_in(&[2, 3], &arena);
+        let u = union_all_dedup(&[a, b], &arena).unwrap();
         assert_eq!(u.len(), 4);
         let mut rows: Vec<u32> = u.col("t").unwrap().to_vec();
         rows.sort_unstable();
@@ -606,21 +453,22 @@ mod tests {
     fn union_handles_column_order_permutation() {
         // Build two joined relations with swapped table order.
         let ts = tset();
-        let t = IdxRelation::base("t", 5);
-        let s = IdxRelation::base("s", 5);
+        let t = base("t", 5);
+        let s = base("s", 5);
         let lk = ColumnRef::new("t", "id");
         let rk = ColumnRef::new("s", "movie_id");
         let arena = MaskArena::new();
-        let ab = hash_join(&ts, &t, &s, &lk, &rk, JoinSide::Smaller, &arena).unwrap();
-        let ba = hash_join(&ts, &s, &t, &rk, &lk, JoinSide::Smaller, &arena).unwrap();
+        let cx = ExecCtx::serial(&arena);
+        let ab = hash_join(&cx, &ts, &t, &s, &lk, &rk).unwrap();
+        let ba = hash_join(&cx, &ts, &s, &t, &rk, &lk).unwrap();
         let u = union_all_dedup(&[ab.clone(), ba], &arena).unwrap();
         assert_eq!(u.len(), ab.len(), "identical content dedups fully");
     }
 
     #[test]
     fn union_rejects_mismatched_tables() {
-        let a = IdxRelation::base("t", 3);
-        let b = IdxRelation::base("u", 3);
+        let a = base("t", 3);
+        let b = base("u", 3);
         let arena = MaskArena::new();
         assert!(union_all_dedup(&[a, b], &arena).is_err());
         assert!(union_all_dedup(&[], &arena).is_err());
@@ -694,16 +542,17 @@ mod tests {
     #[test]
     fn project_materializes_values() {
         let ts = tset();
-        let rel = IdxRelation::base("t", 5).select(&[4, 0]);
-        let out = project(
+        let arena = MaskArena::new();
+        let rel = base("t", 5).select_in(&[4, 0], &arena);
+        let out = project_in(
             &ts,
             &rel,
             &[ColumnRef::new("t", "id"), ColumnRef::new("t", "year")],
+            &arena,
         )
         .unwrap();
         assert_eq!(out[0].1.as_ints().unwrap(), &[5, 1]);
         assert_eq!(out[1].1.as_ints().unwrap(), &[1972, 2008]);
-        assert_eq!(project_count(&rel), 2);
     }
 
     /// End-to-end Query 1 under traditional execution, all predicates
@@ -711,14 +560,15 @@ mod tests {
     #[test]
     fn query1_join_then_filter() {
         let ts = tset();
+        let arena = MaskArena::new();
+        let cx = ExecCtx::serial(&arena);
         let joined = hash_join(
+            &cx,
             &ts,
-            &IdxRelation::base("t", 5),
-            &IdxRelation::base("s", 5),
+            &base("t", 5),
+            &base("s", 5),
             &ColumnRef::new("t", "id"),
             &ColumnRef::new("s", "movie_id"),
-            JoinSide::Smaller,
-            &MaskArena::new(),
         )
         .unwrap();
         let q1 = or(vec![
@@ -732,7 +582,7 @@ mod tests {
             ]),
         ]);
         let tree = PredicateTree::build(&q1);
-        let out = filter(&ts, &joined, &tree, tree.root(), &MaskArena::new()).unwrap();
+        let out = filter(&cx, &ts, &joined, &tree, tree.root()).unwrap();
         // Matches: (1,2008,9.0) via both clauses; (3,1994,9.3) and
         // (4,1994,8.9) via clause 2. Movie 5 (1972) fails both.
         assert_eq!(out.len(), 3);

@@ -1,14 +1,20 @@
-//! Morsel-parallel drivers for the shared execution kernels.
+//! The per-execution context and its morsel-parallel drivers.
 //!
-//! These are the fan-out halves of the operators in [`crate::ops`]: the
-//! serial kernels stay where they are (and remain the `workers == 1`
-//! path, bit-for-bit), while this module splits their row ranges into
-//! [`Morsel`]s, runs them on a [`WorkerPool`]'s workers against
-//! per-worker arenas, and merges the per-morsel results **in morsel
-//! order** — word-range stitching for masks (disjoint word ranges mean
-//! the merge is concatenation, not re-intersection) and ordered
-//! concatenation for join match lists — so parallel output is
-//! indistinguishable from serial output.
+//! [`ExecCtx`] is what every operator — tagged or traditional — runs
+//! against: the session arena, an optional [`WorkerPool`] and an optional
+//! per-request [`Tracer`]. **Serial is `pool: None`, untraced is
+//! `tracer: None`**; there are no `_par`/`_traced` operator twins. The
+//! two drivers here are the only places an operator fans out:
+//! [`ExecCtx::eval_mask`] splits a predicate evaluation into
+//! [`Morsel`](basilisk_types::Morsel)s and [`ExecCtx::probe`] splits a
+//! join probe into chunks, each run on the pool's workers against
+//! per-worker arenas and merged **in morsel order** — word-range
+//! stitching for masks (disjoint word ranges mean the merge is
+//! concatenation, not re-intersection) and ordered concatenation for
+//! join match lists — so parallel output is indistinguishable from
+//! serial output. Both take the serial kernel directly when there is no
+//! pool or the input fits one morsel, which is why `workers == 1` *is*
+//! the serial engine, bit for bit.
 //!
 //! Arena discipline (see `basilisk-sched`): workers check scratch out of
 //! *their own* arena; per-morsel results ride back to the coordinating
@@ -17,52 +23,136 @@
 //! stitched mask, the concatenated selection vectors) comes from the
 //! session arena, exactly like the serial path — which is why session
 //! steady-state stats stay at `fresh() == 0` in parallel mode too.
+//!
+//! The context holds the `!Sync` tracer, so it cannot be captured by a
+//! task closure: a task body that needs a context builds
+//! [`ExecCtx::serial`] over its worker arena, which makes "tasks never
+//! re-enter the pool" (ownership rule 4) a property of the types.
 
 use basilisk_expr::eval::{eval_node_mask, eval_node_mask_morsel, ColumnProvider};
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_sched::WorkerPool;
-use basilisk_types::{Bitmap, MaskArena, Result, TruthMask};
+use basilisk_types::{Bitmap, MaskArena, Result, Tracer, TruthMask};
 
 use crate::hash::JoinTable;
 use crate::relation::join_key;
 
-/// Morsel-parallel [`eval_node_mask`]: evaluate a predicate subtree over
-/// the rows selected by `sel`, one morsel per task, and stitch the
-/// per-morsel masks into one relation-length mask checked out of the
-/// *session* arena.
-///
-/// Falls back to the serial evaluator when the pool has one worker or
-/// the relation fits in a single morsel, so callers can use this
-/// unconditionally. The provider is shared by every worker (hence the
-/// `Sync` bound): [`RelProvider`](crate::RelProvider)'s sharded column
-/// cache lets sparse selections keep their page-selective `fetch_at`
-/// read path from worker threads — columns are gathered once by
-/// whichever worker asks first and shared by the rest, instead of being
-/// dense-prefetched on the coordinator.
-pub fn eval_mask_parallel(
-    tree: &PredicateTree,
-    id: ExprId,
-    provider: &(impl ColumnProvider + Sync),
-    sel: &Bitmap,
-    arena: &MaskArena,
-    pool: &WorkerPool,
-) -> Result<TruthMask> {
-    let n = sel.len();
-    if !pool.would_parallelize(n) {
-        return eval_node_mask(tree, id, provider, sel, arena);
+/// What one plan execution runs against (see the module docs).
+#[derive(Clone, Copy)]
+pub struct ExecCtx<'a> {
+    /// The session arena: every buffer that outlives an operator call
+    /// is checked out here.
+    pub arena: &'a MaskArena,
+    /// `Some` fans filters and probes out over the pool's workers and
+    /// lets the plan driver ship small subtrees; `None` is the serial
+    /// engine.
+    pub pool: Option<&'a WorkerPool>,
+    /// `Some` records one span per operator on the calling thread.
+    pub tracer: Option<&'a Tracer>,
+}
+
+impl<'a> ExecCtx<'a> {
+    /// The serial, untraced context over `arena` — what tests, benches
+    /// and shipped task bodies run against.
+    pub fn serial(arena: &'a MaskArena) -> ExecCtx<'a> {
+        ExecCtx {
+            arena,
+            pool: None,
+            tracer: None,
+        }
     }
-    let morsels = pool.morsels(n);
-    let results = pool.run(
-        morsels.clone(),
-        |ctx, m| eval_node_mask_morsel(tree, id, provider, sel, ctx.arena, m),
-        |worker_arena, mask| worker_arena.recycle_mask(mask),
-    )?;
-    let mut out = arena.mask(n);
-    for (m, (worker, mask)) in morsels.into_iter().zip(results) {
-        out.stitch(m, &mask);
-        pool.with_arena(worker, |a| a.recycle_mask(mask));
+
+    /// The pool, when a relation of `len` rows would actually fan out
+    /// on it (more than one worker *and* more than one morsel).
+    fn fan_out(&self, len: usize) -> Option<&'a WorkerPool> {
+        self.pool.filter(|p| p.would_parallelize(len))
     }
-    Ok(out)
+
+    /// Evaluate a predicate subtree over the rows selected by `sel` into
+    /// a relation-length mask checked out of the session arena — one
+    /// morsel per task, stitched, when the pool and `sel` warrant it.
+    ///
+    /// The provider is shared by every worker (hence the `Sync` bound):
+    /// [`RelProvider`](crate::RelProvider)'s sharded column cache lets
+    /// sparse selections keep their page-selective `fetch_at` read path
+    /// from worker threads — columns are gathered once by whichever
+    /// worker asks first and shared by the rest, instead of being
+    /// dense-prefetched on the coordinator.
+    pub fn eval_mask(
+        &self,
+        tree: &PredicateTree,
+        id: ExprId,
+        provider: &(impl ColumnProvider + Sync),
+        sel: &Bitmap,
+    ) -> Result<TruthMask> {
+        let n = sel.len();
+        let Some(pool) = self.fan_out(n) else {
+            return eval_node_mask(tree, id, provider, sel, self.arena);
+        };
+        let morsels = pool.morsels(n);
+        let results = pool.run(
+            morsels.clone(),
+            |w, m| eval_node_mask_morsel(tree, id, provider, sel, w.arena, m),
+            |worker_arena, mask| worker_arena.recycle_mask(mask),
+        )?;
+        let mut out = self.arena.mask(n);
+        for (m, (worker, mask)) in morsels.into_iter().zip(results) {
+            out.stitch(m, &mask);
+            pool.with_arena(worker, |a| a.recycle_mask(mask));
+        }
+        Ok(out)
+    }
+
+    /// Run a join probe over `0..probe_len` and return its `N` parallel
+    /// match lists, checked out of the session arena (the caller
+    /// recycles them with `recycle_indices`). `probe` appends the
+    /// matches of one contiguous range of probe positions to the lists
+    /// it is handed; serially it runs once over the whole range,
+    /// straight into the output lists, and when the probe side fans out
+    /// it runs per morsel-sized chunk into worker-arena lists that are
+    /// concatenated **in chunk order** — the order the serial loop
+    /// emits.
+    pub fn probe<const N: usize>(
+        &self,
+        probe_len: usize,
+        probe: impl Fn(std::ops::Range<usize>, &mut [Vec<u32>; N]) + Sync,
+    ) -> Result<[Vec<u32>; N]> {
+        let checkout =
+            |arena: &MaskArena| -> [Vec<u32>; N] { std::array::from_fn(|_| arena.indices()) };
+        let Some(pool) = self.fan_out(probe_len) else {
+            let mut out = checkout(self.arena);
+            probe(0..probe_len, &mut out);
+            return Ok(out);
+        };
+        let chunks = pool
+            .morsels(probe_len)
+            .into_iter()
+            .map(|m| m.start()..m.end())
+            .collect();
+        let results = pool.run(
+            chunks,
+            |w, range| {
+                let mut lists = checkout(w.arena);
+                probe(range, &mut lists);
+                Ok(lists)
+            },
+            recycle_lists,
+        )?;
+        let mut out = checkout(self.arena);
+        for (worker, lists) in results {
+            for (o, l) in out.iter_mut().zip(&lists) {
+                o.extend_from_slice(l);
+            }
+            pool.with_arena(worker, |a| recycle_lists(a, lists));
+        }
+        Ok(out)
+    }
+}
+
+fn recycle_lists<const N: usize>(arena: &MaskArena, lists: [Vec<u32>; N]) {
+    for l in lists {
+        arena.recycle_indices(l);
+    }
 }
 
 /// The probe half of a hash join over one contiguous range of probe
@@ -87,38 +177,6 @@ pub(crate) fn probe_range(
     }
 }
 
-/// Partitioned-probe driver shared by the plain and tagged joins: run
-/// `probe` over each morsel-sized chunk of `0..probe_len` on the pool's
-/// workers (match buffers from the worker's arena), then hand the chunk
-/// outputs to `merge` **in chunk order**. Returns `false` — leaving the
-/// caller on its serial path — when the pool or the probe size doesn't
-/// warrant fanning out.
-pub fn partitioned_probe<R: Send>(
-    pool: &WorkerPool,
-    probe_len: usize,
-    probe: impl Fn(&MaskArena, std::ops::Range<usize>) -> Result<R> + Sync,
-    discard: impl Fn(&MaskArena, R),
-    mut merge: impl FnMut(u32, R, &WorkerPool),
-) -> Result<bool> {
-    if !pool.would_parallelize(probe_len) {
-        return Ok(false);
-    }
-    let chunks: Vec<std::ops::Range<usize>> = pool
-        .morsels(probe_len)
-        .into_iter()
-        .map(|m| m.start()..m.end())
-        .collect();
-    let results = pool.run(
-        chunks,
-        |ctx, range| probe(ctx.arena, range),
-        |worker_arena, r| discard(worker_arena, r),
-    )?;
-    for (worker, r) in results {
-        merge(worker, r, pool);
-    }
-    Ok(true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,6 +185,14 @@ mod tests {
     use basilisk_storage::TableBuilder;
     use basilisk_types::{DataType, Value};
     use std::sync::Arc;
+
+    fn parallel<'a>(arena: &'a MaskArena, pool: &'a WorkerPool) -> ExecCtx<'a> {
+        ExecCtx {
+            arena,
+            pool: Some(pool),
+            tracer: None,
+        }
+    }
 
     fn tset(rows: usize) -> TableSet {
         let mut b = TableBuilder::new("t")
@@ -152,7 +218,7 @@ mod tests {
     fn parallel_eval_equals_serial() {
         let rows = 1000; // not a multiple of 64 → ragged tail morsel
         let ts = tset(rows);
-        let rel = IdxRelation::base("t", rows);
+        let rel = IdxRelation::base_in("t", rows, &MaskArena::new());
         let tree = PredicateTree::build(&or(vec![
             and(vec![
                 col("t", "year").gt(1980i64),
@@ -170,8 +236,9 @@ mod tests {
             let pool = WorkerPool::new(workers).with_morsel_rows(128);
             let arena = MaskArena::new();
             let provider = RelProvider::new(&ts, &rel);
-            let par =
-                eval_mask_parallel(&tree, tree.root(), &provider, &sel, &arena, &pool).unwrap();
+            let par = parallel(&arena, &pool)
+                .eval_mask(&tree, tree.root(), &provider, &sel)
+                .unwrap();
             assert_eq!(
                 par.to_truths(),
                 serial.to_truths(),
@@ -190,7 +257,7 @@ mod tests {
     fn parallel_eval_degenerate_cases() {
         let rows = 200;
         let ts = tset(rows);
-        let rel = IdxRelation::base("t", rows);
+        let rel = IdxRelation::base_in("t", rows, &MaskArena::new());
         let tree = PredicateTree::build(&col("t", "year").gt(1950i64));
         let sel = Bitmap::all_set(rows);
         let arena = MaskArena::new();
@@ -201,7 +268,9 @@ mod tests {
             WorkerPool::new(4), // default morsels ≫ 200 rows → one morsel
         ] {
             let provider = RelProvider::new(&ts, &rel);
-            let m = eval_mask_parallel(&tree, tree.root(), &provider, &sel, &arena, &pool).unwrap();
+            let m = parallel(&arena, &pool)
+                .eval_mask(&tree, tree.root(), &provider, &sel)
+                .unwrap();
             assert_eq!(m.to_truths(), serial.to_truths());
             arena.recycle_mask(m);
         }
@@ -215,7 +284,7 @@ mod tests {
     fn parallel_eval_error_leaks_nothing() {
         let rows = 600;
         let ts = tset(rows);
-        let rel = IdxRelation::base("t", rows);
+        let rel = IdxRelation::base_in("t", rows, &MaskArena::new());
         // First disjunct evaluates fine; second explodes at eval time.
         let tree = PredicateTree::build(&or(vec![
             col("t", "year").gt(1950i64),
@@ -225,7 +294,7 @@ mod tests {
         let arena = MaskArena::new();
         let provider = RelProvider::new(&ts, &rel);
         let sel = Bitmap::all_set(rows);
-        let err = eval_mask_parallel(&tree, tree.root(), &provider, &sel, &arena, &pool);
+        let err = parallel(&arena, &pool).eval_mask(&tree, tree.root(), &provider, &sel);
         assert!(err.is_err(), "type mismatch must fail evaluation");
         assert_eq!(arena.outstanding(), 0, "session arena drained");
         assert_eq!(pool.outstanding(), 0, "every worker arena drained");

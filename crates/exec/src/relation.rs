@@ -62,19 +62,10 @@ pub struct IdxRelation {
 }
 
 impl IdxRelation {
-    /// The base relation of a table scan: identity indices `0..n`.
-    pub fn base(alias: impl Into<String>, rows: usize) -> IdxRelation {
-        IdxRelation {
-            tables: vec![alias.into()],
-            cols: vec![Arc::new((0..rows as u32).collect())],
-            len: rows,
-        }
-    }
-
-    /// [`Self::base`] with the identity column drawn from the arena's
-    /// [`ColumnPool`](basilisk_types::ColumnPool), so repeated executions
-    /// of a plan re-fill one pooled buffer instead of allocating a fresh
-    /// `0..n` vector per scan.
+    /// The base relation of a table scan: identity indices `0..n`, drawn
+    /// from the arena's [`ColumnPool`](basilisk_types::ColumnPool), so
+    /// repeated executions of a plan re-fill one pooled buffer instead of
+    /// allocating a fresh `0..n` vector per scan.
     pub fn base_in(
         alias: impl Into<String>,
         rows: usize,
@@ -128,29 +119,10 @@ impl IdxRelation {
         &self.cols
     }
 
-    /// Keep only the tuples at `keep` (positions into this relation).
-    /// Columns gather through the word-parallel kernel into fresh
-    /// allocations; the hot path uses the pooled [`Self::select_in`].
-    pub fn select(&self, keep: &[u32]) -> IdxRelation {
-        let cols = self
-            .cols
-            .iter()
-            .map(|c| {
-                let mut out = Vec::new();
-                basilisk_types::gather_u32_into(c, keep, &mut out);
-                Arc::new(out)
-            })
-            .collect();
-        IdxRelation {
-            tables: self.tables.clone(),
-            cols,
-            len: keep.len(),
-        }
-    }
-
-    /// [`Self::select`] with every output column checked out of the
-    /// arena's [`ColumnPool`](basilisk_types::ColumnPool) and filled by
-    /// the word-parallel gather kernel — allocation-free once the pool is
+    /// Keep only the tuples at `keep` (positions into this relation):
+    /// every output column is checked out of the arena's
+    /// [`ColumnPool`](basilisk_types::ColumnPool) and filled by the
+    /// word-parallel gather kernel — allocation-free once the pool is
     /// warm. The produced columns follow the pool's `Arc`-share →
     /// `try_unwrap` reclaim lifecycle (see [`Self::recycle`]).
     pub fn select_in(&self, keep: &[u32], arena: &basilisk_types::MaskArena) -> IdxRelation {
@@ -180,31 +152,10 @@ impl IdxRelation {
         }
     }
 
-    /// Keep only the tuples whose position is set in `keep`, gathering
-    /// straight off the bitmap — no intermediate index vector (the
-    /// selection-vector idiom; see `Bitmap::iter_ones`).
-    pub fn select_bitmap(&self, keep: &basilisk_types::Bitmap) -> IdxRelation {
-        assert_eq!(keep.len(), self.len, "selection bitmap length mismatch");
-        let n = keep.count_ones();
-        let cols = self
-            .cols
-            .iter()
-            .map(|c| {
-                let mut v = Vec::with_capacity(n);
-                v.extend(keep.iter_ones().map(|i| c[i]));
-                Arc::new(v)
-            })
-            .collect();
-        IdxRelation {
-            tables: self.tables.clone(),
-            cols,
-            len: n,
-        }
-    }
-
-    /// [`Self::select_bitmap`] with pooled scratch: the bitmap is decoded
-    /// once into a recycled index buffer (instead of once per column) and
-    /// every column gathers through it into pooled output columns.
+    /// Keep only the tuples whose position is set in `keep`: the bitmap is
+    /// decoded once into a recycled index buffer (instead of once per
+    /// column) and every column gathers through it into pooled output
+    /// columns.
     pub fn select_bitmap_in(
         &self,
         keep: &basilisk_types::Bitmap,
@@ -291,7 +242,7 @@ impl ShardedColumnCache {
 /// hands one `&RelProvider` to every worker thread, so sparse
 /// selections keep their page-selective `fetch_at` read path under
 /// parallelism instead of being forced through a dense whole-column
-/// prefetch (the historical `ColumnSet` workaround).
+/// prefetch.
 pub struct RelProvider<'a> {
     tables: &'a TableSet,
     relation: &'a IdxRelation,
@@ -473,7 +424,12 @@ pub fn join_key(col: &Column, i: usize) -> Option<Value> {
 mod tests {
     use super::*;
     use basilisk_storage::TableBuilder;
-    use basilisk_types::DataType;
+    use basilisk_types::{DataType, MaskArena};
+
+    /// A base relation over a throwaway arena.
+    fn base(alias: &str, rows: usize) -> IdxRelation {
+        IdxRelation::base_in(alias, rows, &MaskArena::new())
+    }
 
     fn table() -> Arc<Table> {
         let mut b = TableBuilder::new("t")
@@ -487,7 +443,7 @@ mod tests {
 
     #[test]
     fn base_relation_identity() {
-        let r = IdxRelation::base("t", 3);
+        let r = base("t", 3);
         assert_eq!(r.len(), 3);
         assert_eq!(r.tables(), &["t".to_string()]);
         assert!(r.covers("t"));
@@ -499,17 +455,18 @@ mod tests {
 
     #[test]
     fn select_narrows() {
-        let r = IdxRelation::base("t", 5).select(&[4, 0]);
+        let arena = MaskArena::new();
+        let r = base("t", 5).select_in(&[4, 0], &arena);
         assert_eq!(r.len(), 2);
         assert_eq!(**r.col("t").unwrap(), vec![4, 0]);
-        let empty = r.select(&[]);
+        let empty = r.select_in(&[], &arena);
         assert!(empty.is_empty());
     }
 
     #[test]
     fn provider_gathers_and_caches() {
         let ts = TableSet::from_tables(vec![("t".into(), table())]);
-        let rel = IdxRelation::base("t", 3).select(&[2, 0]);
+        let rel = base("t", 3).select_in(&[2, 0], &MaskArena::new());
         let p = RelProvider::new(&ts, &rel);
         let c = p.fetch(&ColumnRef::new("t", "id")).unwrap();
         assert_eq!(c.as_ints().unwrap(), &[30, 10]);
@@ -526,7 +483,7 @@ mod tests {
         // Non-identity relation: tuples map to rows 2,0,1,2,0,1,2,0 so the
         // sparse path (selectivity < 1/2) must gather through the index
         // column, not the base table directly.
-        let rel = IdxRelation::base("t", 3).select(&[2, 0, 1, 2, 0, 1, 2, 0]);
+        let rel = base("t", 3).select_in(&[2, 0, 1, 2, 0, 1, 2, 0], &MaskArena::new());
         let p = RelProvider::new(&ts, &rel);
         let sel = Bitmap::from_indices(8, [1usize, 6, 7]);
         let c = p.fetch_at(&ColumnRef::new("t", "id"), &sel).unwrap();
@@ -560,18 +517,18 @@ mod tests {
         }
         let t = Arc::new(b.finish().unwrap());
         let ts = TableSet::from_tables(vec![("t".into(), t)]);
-        let base = IdxRelation::base("t", 5);
-        let p = RelProvider::new(&ts, &base);
+        let full = base("t", 5);
+        let p = RelProvider::new(&ts, &full);
         let enc = p.fetch_encoded(&ColumnRef::new("t", "id")).unwrap();
         assert_eq!(enc.len(), 5);
         // Filtered relations are not positionally aligned — no encoded view.
-        let narrowed = base.select(&[3, 1]);
+        let narrowed = full.select_in(&[3, 1], &MaskArena::new());
         let p = RelProvider::new(&ts, &narrowed);
         assert!(p.fetch_encoded(&ColumnRef::new("t", "id")).is_none());
         // Plain (unencoded) tables have nothing to offer either.
         let ts = TableSet::from_tables(vec![("t".into(), table())]);
-        let base = IdxRelation::base("t", 3);
-        let p = RelProvider::new(&ts, &base);
+        let full = base("t", 3);
+        let p = RelProvider::new(&ts, &full);
         assert!(p.fetch_encoded(&ColumnRef::new("t", "id")).is_none());
     }
 

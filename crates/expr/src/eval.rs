@@ -115,94 +115,6 @@ impl ColumnProvider for MapProvider {
     }
 }
 
-/// An immutable, pre-fetched column set: every column a predicate subtree
-/// references, resolved once on the coordinating thread. Unlike the lazy
-/// engine providers (whose interior caches make them `!Sync`), a
-/// `ColumnSet` is plain shared data — `Sync` — so worker threads of the
-/// morsel-parallel executor can evaluate against it concurrently. Fetch
-/// errors (missing columns, failed disk reads) surface during
-/// [`ColumnSet::prefetch`], *before* any worker is spawned or any worker
-/// arena touched.
-pub struct ColumnSet {
-    columns: HashMap<ColumnRef, Arc<Column>>,
-    encoded: HashMap<ColumnRef, Arc<EncodedColumn>>,
-    rows: usize,
-}
-
-impl ColumnSet {
-    /// Fetch every column referenced by the subtree rooted at `id`
-    /// through `provider` (honoring the selection hint, exactly as the
-    /// serial evaluation of that subtree would). Columns the provider can
-    /// answer encoded are carried encoded too, so workers keep the
-    /// zone-map path.
-    pub fn prefetch(
-        tree: &PredicateTree,
-        id: ExprId,
-        provider: &impl ColumnProvider,
-        sel: &Bitmap,
-    ) -> Result<ColumnSet> {
-        fn collect(
-            tree: &PredicateTree,
-            id: ExprId,
-            provider: &impl ColumnProvider,
-            sel: &Bitmap,
-            out: &mut HashMap<ColumnRef, Arc<Column>>,
-            enc: &mut HashMap<ColumnRef, Arc<EncodedColumn>>,
-        ) -> Result<()> {
-            match tree.kind(id) {
-                NodeKind::Atom(atom) => {
-                    let col = atom.column();
-                    if !out.contains_key(col) {
-                        out.insert(col.clone(), provider.fetch_at(col, sel)?);
-                        if let Some(e) = provider.fetch_encoded(col) {
-                            enc.insert(col.clone(), e);
-                        }
-                    }
-                    Ok(())
-                }
-                NodeKind::Not(c) => collect(tree, *c, provider, sel, out, enc),
-                NodeKind::And(cs) | NodeKind::Or(cs) => {
-                    for &c in cs {
-                        collect(tree, c, provider, sel, out, enc)?;
-                    }
-                    Ok(())
-                }
-            }
-        }
-        let mut columns = HashMap::new();
-        let mut encoded = HashMap::new();
-        collect(tree, id, provider, sel, &mut columns, &mut encoded)?;
-        Ok(ColumnSet {
-            columns,
-            encoded,
-            rows: provider.num_rows(),
-        })
-    }
-}
-
-impl ColumnProvider for ColumnSet {
-    fn fetch(&self, col: &ColumnRef) -> Result<Arc<Column>> {
-        self.columns
-            .get(col)
-            .cloned()
-            .ok_or_else(|| BasiliskError::Schema(format!("column {col} was not prefetched")))
-    }
-
-    fn fetch_encoded(&self, col: &ColumnRef) -> Option<Arc<EncodedColumn>> {
-        self.encoded.get(col).cloned()
-    }
-
-    fn num_rows(&self) -> usize {
-        self.rows
-    }
-}
-
-// Worker threads share one `&ColumnSet`; keep the property pinned.
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<ColumnSet>();
-};
-
 /// Evaluate any predicate-tree node over the provider's rows.
 pub fn eval_node(
     tree: &PredicateTree,

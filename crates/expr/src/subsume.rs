@@ -150,6 +150,34 @@ pub fn implied_truth(src: &Atom, truth: Truth, dst: &Atom) -> Option<Truth> {
     None
 }
 
+/// Everything a plan can depend on in a tree's literal *values*: what
+/// [`implied_truth`] derives for every ordered pair of distinct
+/// same-column atoms under each truth value, in atom-id order. Tag maps
+/// bake the closure in at plan time, so a cached plan may only be
+/// re-driven over a rebound tree ([congruent modulo
+/// values](PredicateTree::congruent_modulo_values), hence the same pairs
+/// in the same order) whose signature is equal — rebinding
+/// `year > 2011 OR year > 1986` to literals that order the other way
+/// flips which atom implies which.
+pub fn implication_signature(tree: &PredicateTree) -> Vec<Option<Truth>> {
+    let atoms: Vec<&Atom> = tree
+        .atom_ids()
+        .into_iter()
+        .filter_map(|id| tree.atom(id))
+        .collect();
+    let mut out = Vec::new();
+    for (i, src) in atoms.iter().enumerate() {
+        for (j, dst) in atoms.iter().enumerate() {
+            if i != j && src.column() == dst.column() {
+                out.extend(
+                    [Truth::True, Truth::False, Truth::Unknown].map(|t| implied_truth(src, t, dst)),
+                );
+            }
+        }
+    }
+    out
+}
+
 /// Does an Unknown result for this atom imply the column value is NULL?
 /// True for atoms whose literals are non-null (the only other source of
 /// U would be a NULL column value).
@@ -275,6 +303,20 @@ mod tests {
             .into_iter()
             .find(|&id| tree.atom(id).unwrap().to_string() == text)
             .unwrap_or_else(|| panic!("no atom {text}"))
+    }
+
+    /// Literal shifts that keep the atoms' order keep the signature; a
+    /// binding that orders them the other way does not.
+    #[test]
+    fn implication_signature_tracks_literal_order() {
+        let years = |a: i64, b: i64| {
+            let e = or(vec![col("t", "year").gt(a), col("t", "year").gt(b)]);
+            implication_signature(&tree_of(&e))
+        };
+        assert_eq!(years(2000, 1980), years(2011, 1986));
+        assert_ne!(years(2000, 1980), years(1980, 2000));
+        let other_columns = or(vec![col("t", "year").gt(1i64), col("s", "year").gt(2i64)]);
+        assert!(implication_signature(&tree_of(&other_columns)).is_empty());
     }
 
     /// The paper's example: year > 2000 = T ⇒ year > 1980 = T.

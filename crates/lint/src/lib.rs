@@ -30,6 +30,12 @@
 //!   named inside `crates/storage`: the encoding is invisible above the
 //!   storage API, and any other crate reaching for the physical buffers
 //!   would freeze the layout and break that transparency.
+//! * **`variant-twins`** — no `pub fn` whose name ends in `_par`,
+//!   `_traced` or `_with` under `crates/core/src`, `crates/exec/src` or
+//!   in `crates/plan/src/executor.rs`: operators and plan drivers take
+//!   one `ExecCtx` (serial is `pool: None`, untraced is `tracer: None`),
+//!   and a suffixed public twin is how the
+//!   `{tagged,traditional} × {·,_with,_traced}` matrix grew.
 //!
 //! The scanner strips comments, strings, char literals and raw strings
 //! while preserving line structure, so the rules only ever see real
@@ -55,6 +61,8 @@ pub const RULE_FACADE: &str = "sync-facade";
 pub const RULE_SLEEP: &str = "no-sleep";
 /// Rule id: encoded-column raw buffer accessor named outside storage.
 pub const RULE_ENCODED: &str = "encoded-internals";
+/// Rule id: `_par`/`_traced`/`_with` public twin of an operator or driver.
+pub const RULE_TWINS: &str = "variant-twins";
 
 /// How many lines above an `unsafe` token a `SAFETY:` comment may sit.
 /// Ten covers a multi-line SAFETY block plus an attribute or two between
@@ -93,6 +101,7 @@ pub struct Rules {
     pub facade: bool,
     pub sleep: bool,
     pub encoded: bool,
+    pub twins: bool,
 }
 
 // ---------------------------------------------------------------------
@@ -481,6 +490,39 @@ fn check_encoded(file: &Path, sc: &Scanned, out: &mut Vec<Finding>) {
     }
 }
 
+/// Name suffixes that mark a public function as a variant twin.
+const TWIN_SUFFIXES: &[&str] = &["_par", "_traced", "_with"];
+
+/// Rule `variant-twins`: no `pub fn *_par` / `*_traced` / `*_with`
+/// (file-level scoping is handled by [`classify`]).
+fn check_twins(file: &Path, sc: &Scanned, out: &mut Vec<Finding>) {
+    for (ln, line) in sc.code.iter().enumerate() {
+        let Some(at) = find_word(line, "fn") else {
+            continue;
+        };
+        if !has_word(&line[..at], "pub") {
+            continue;
+        }
+        let name: String = line[at + 2..]
+            .trim_start()
+            .chars()
+            .take_while(|&c| is_word_char(c))
+            .collect();
+        if let Some(suffix) = TWIN_SUFFIXES.iter().find(|s| name.ends_with(**s)) {
+            push(
+                out,
+                file,
+                ln + 1,
+                RULE_TWINS,
+                format!(
+                    "`pub fn {name}` is a `{suffix}` twin — take the `ExecCtx` \
+                     (pool / tracer are its optional fields) in the one function instead"
+                ),
+            );
+        }
+    }
+}
+
 /// Run the enabled rules over one source file.
 pub fn lint_source(file: &Path, src: &str, rules: &Rules) -> Vec<Finding> {
     let sc = scan(src);
@@ -499,6 +541,9 @@ pub fn lint_source(file: &Path, src: &str, rules: &Rules) -> Vec<Finding> {
     }
     if rules.encoded {
         check_encoded(file, &sc, &mut out);
+    }
+    if rules.twins {
+        check_twins(file, &sc, &mut out);
     }
     out
 }
@@ -545,12 +590,18 @@ pub fn classify(rel: &Path) -> Rules {
     // benches included) must stay encoding-agnostic.
     let encoded = crate_name != Some("storage");
 
+    // The operator crates and the plan driver: one function per
+    // operator, variants are `ExecCtx` fields.
+    let twins = (matches!(crate_name, Some("core") | Some("exec")) && parts.get(2) == Some(&"src"))
+        || parts == ["crates", "plan", "src", "executor.rs"];
+
     Rules {
         safety: true,
         forbid,
         facade,
         sleep,
         encoded,
+        twins,
     }
 }
 
@@ -653,7 +704,10 @@ mod tests {
         let r = classify(Path::new("crates/storage/tests/encode_prop.rs"));
         assert!(!r.encoded);
         let r = classify(Path::new("crates/exec/src/relation.rs"));
-        assert!(r.encoded);
+        assert!(r.encoded && r.twins);
+        assert!(classify(Path::new("crates/plan/src/executor.rs")).twins);
+        assert!(!classify(Path::new("crates/plan/src/session.rs")).twins);
+        assert!(!classify(Path::new("crates/core/tests/parallel_ops.rs")).twins);
         let r = classify(Path::new("tests/serve_concurrent.rs"));
         assert!(!r.sleep);
         let r = classify(Path::new("src/lib.rs"));

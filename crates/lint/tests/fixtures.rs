@@ -10,6 +10,7 @@ use std::path::Path;
 
 use basilisk_lint::{
     lint_source, Finding, Rules, RULE_ENCODED, RULE_FACADE, RULE_FORBID, RULE_SAFETY, RULE_SLEEP,
+    RULE_TWINS,
 };
 
 fn run(fixture: &str, rules: Rules) -> Vec<Finding> {
@@ -27,6 +28,7 @@ fn all_rules() -> Rules {
         facade: false,
         sleep: true,
         encoded: false,
+        twins: false,
     }
 }
 
@@ -129,6 +131,31 @@ fn encoded_public_api_passes() {
         ..all_rules()
     };
     assert!(run("pass_encoded_api.rs", rules).is_empty());
+}
+
+#[test]
+fn variant_twins_fire() {
+    let rules = Rules {
+        twins: true,
+        ..all_rules()
+    };
+    let f = run("fail_variant_twins.rs", rules);
+    assert_eq!(f.len(), 3, "one per suffix: {f:?}");
+    assert!(f.iter().all(|x| x.rule == RULE_TWINS));
+    assert_eq!(
+        f.iter().map(|x| x.line).collect::<Vec<_>>(),
+        vec![4, 8, 12],
+        "private twins, mid-name matches and comments stay quiet"
+    );
+}
+
+#[test]
+fn context_taking_operators_pass() {
+    let rules = Rules {
+        twins: true,
+        ..all_rules()
+    };
+    assert!(run("pass_variant_twins.rs", rules).is_empty());
 }
 
 /// The linter over the real workspace — the same invocation CI runs —

@@ -1,67 +1,297 @@
-//! Plan interpreters for both execution models.
+//! The plan driver: one walker, two execution models.
 //!
-//! Both interpreters are arena-disciplined: every operator draws its
-//! mask/bitmap scratch from the caller's [`MaskArena`], and each
-//! intermediate relation — a [`TaggedRelation`]'s slice bitmaps *and*
-//! its `Arc`-shared index columns, or a traditional [`IdxRelation`] —
-//! is recycled the moment the consuming operator has produced its
-//! output. Together with the arena's
+//! A plan is executed by [`walk`], the only recursive traversal in this
+//! module, which is generic over a [`Model`]: the model supplies the
+//! node-local steps (scan / filter / join / union over its relation
+//! type) and the walker owns everything around them, once —
+//!
+//! * **child evaluation and subtree shipping** ([`run_children`]): small
+//!   serial sibling subtrees run concurrently as tasks of one parallel
+//!   region; traced runs never ship (the tracer is bound to the
+//!   coordinating thread);
+//! * **operator spans**: `rows_in`/`rows_out`/`morsels`/`region`,
+//!   zone-map counter deltas and per-atom profiles;
+//! * **recycling**: every intermediate relation goes back to the arena
+//!   that produced it the moment its consumer has produced its output —
+//!   also when a later sibling fails.
+//!
+//! The two models are the paper's two operator sets: [`Tagged`]
+//! (`tagged_filter`/`tagged_join` over [`TaggedRelation`]s, driven by
+//! tag maps) and [`Traditional`] (`filter`/`hash_join`/`union` over
+//! [`IdxRelation`]s — the baseline and the differential oracle). They
+//! stay separate *implementations* and share one *driver*, so a
+//! tagged-vs-traditional comparison measures the operators, not two
+//! interpreters.
+//!
+//! Arena discipline: every operator draws its mask/bitmap scratch from
+//! the context's [`MaskArena`], and with the arena's
 //! [`ColumnPool`](basilisk_types::ColumnPool) serving scan identities,
 //! join outputs (`combine`) and union outputs, repeated executions of
-//! one plan perform zero allocations of the pooled buffer shapes
-//! (masks, bitmaps, `u32` index scratch, index columns) after warmup.
-//! Only *value*-column materializations — projected outputs and gathered
+//! one plan perform zero allocations of the pooled buffer shapes (masks,
+//! bitmaps, `u32` index scratch, index columns) after warmup. Only
+//! *value*-column materializations — projected outputs and gathered
 //! join-key/predicate values — remain ordinary allocations (see
 //! ROADMAP).
 
-use basilisk_core::ProjectionTags;
 use basilisk_core::{
-    filter_atom_profiles, tagged_filter, tagged_filter_par, tagged_join, tagged_join_par,
-    tagged_select_final, TaggedRelation,
+    filter_atom_profiles, tagged_filter, tagged_join, tagged_select_final, FilterTagMap,
+    JoinTagMap, ProjectionTags, TaggedRelation,
 };
 use basilisk_exec::{
-    filter as plain_filter, filter_par, hash_join, hash_join_par, relation_atom_profiles,
-    union_all_dedup, IdxRelation, JoinSide, TableSet,
+    filter, hash_join, relation_atom_profiles, union_all_dedup, ExecCtx, IdxRelation, TableSet,
 };
 use basilisk_expr::eval::AtomProfile;
-use basilisk_expr::PredicateTree;
+use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_sched::{last_region_id, WorkerPool};
-use basilisk_types::{MaskArena, Result, SpanId, Tracer};
+use basilisk_types::{BasiliskError, MaskArena, Result, SpanId, Tracer};
 
 use crate::aplan::APlan;
 use crate::cost::TPlan;
+use crate::query::JoinCond;
 
-/// Open an operator span when the run is traced. Spans open **before**
-/// the operator's children execute, so the span tree mirrors the plan
-/// tree (span durations are inclusive of their subtree).
-fn span_begin(tracer: Option<&Tracer>, name: &'static str) -> Option<SpanId> {
-    tracer.map(|t| t.begin(name))
+/// One plan node as the walker sees it: its kind, the model's operator
+/// payload, and its children.
+enum Node<'p, M: Model + ?Sized> {
+    Scan(&'p str),
+    Filter(&'p M::FilterOp, &'p M::Plan),
+    Join(&'p JoinCond, &'p M::JoinOp, &'p M::Plan, &'p M::Plan),
+    Union(&'p [M::Plan]),
+}
+
+/// An execution model: the node-local steps [`walk`] drives. `Sync`
+/// because shipped subtrees run the same model from worker threads.
+trait Model: Sync {
+    type Plan: Sync;
+    type Rel: Send;
+    type FilterOp;
+    type JoinOp;
+    /// Span names of the model's filter and join operators.
+    const FILTER: &'static str;
+    const JOIN: &'static str;
+
+    fn tables(&self) -> &TableSet;
+    fn node(plan: &Self::Plan) -> Node<'_, Self>;
+
+    fn scan(&self, cx: &ExecCtx<'_>, alias: &str) -> Result<Self::Rel>;
+    fn filter(&self, cx: &ExecCtx<'_>, op: &Self::FilterOp, input: &Self::Rel)
+        -> Result<Self::Rel>;
+    fn join(
+        &self,
+        cx: &ExecCtx<'_>,
+        cond: &JoinCond,
+        op: &Self::JoinOp,
+        left: &Self::Rel,
+        right: &Self::Rel,
+    ) -> Result<Self::Rel>;
+    fn union(&self, cx: &ExecCtx<'_>, inputs: &[Self::Rel]) -> Result<Self::Rel>;
+    /// Profile the atoms `filter(op, input)` evaluates (tracing only).
+    fn atom_profiles(
+        &self,
+        arena: &MaskArena,
+        op: &Self::FilterOp,
+        input: &Self::Rel,
+    ) -> Result<Vec<AtomProfile>>;
+
+    /// Length of the underlying index relation — what decides fan-out.
+    fn rows(rel: &Self::Rel) -> usize;
+    /// Live tuples — what spans report as `rows_in`/`rows_out`.
+    fn tuples(rel: &Self::Rel) -> usize;
+    fn recycle(rel: Self::Rel, arena: &MaskArena);
+}
+
+/// The tagged model (§2): filters re-label slices, joins dispatch through
+/// tag maps, the relation is never rewritten.
+struct Tagged<'a> {
+    tables: &'a TableSet,
+    tree: &'a PredicateTree,
+}
+
+impl Model for Tagged<'_> {
+    type Plan = TPlan;
+    type Rel = TaggedRelation;
+    type FilterOp = FilterTagMap;
+    type JoinOp = JoinTagMap;
+    const FILTER: &'static str = "tagged_filter";
+    const JOIN: &'static str = "tagged_join";
+
+    fn tables(&self) -> &TableSet {
+        self.tables
+    }
+
+    fn node(plan: &TPlan) -> Node<'_, Self> {
+        match plan {
+            TPlan::Scan { alias } => Node::Scan(alias),
+            TPlan::Filter { map, child, .. } => Node::Filter(map, &**child),
+            TPlan::Join {
+                cond,
+                map,
+                left,
+                right,
+            } => Node::Join(cond, map, &**left, &**right),
+        }
+    }
+
+    fn scan(&self, cx: &ExecCtx<'_>, alias: &str) -> Result<TaggedRelation> {
+        let base = IdxRelation::base_in(alias, self.tables.num_rows(alias)?, cx.arena);
+        Ok(TaggedRelation::base_in(base, cx.arena))
+    }
+
+    fn filter(
+        &self,
+        cx: &ExecCtx<'_>,
+        map: &FilterTagMap,
+        input: &TaggedRelation,
+    ) -> Result<TaggedRelation> {
+        tagged_filter(cx, self.tables, input, self.tree, map)
+    }
+
+    fn join(
+        &self,
+        cx: &ExecCtx<'_>,
+        cond: &JoinCond,
+        map: &JoinTagMap,
+        left: &TaggedRelation,
+        right: &TaggedRelation,
+    ) -> Result<TaggedRelation> {
+        tagged_join(cx, self.tables, left, right, &cond.left, &cond.right, map)
+    }
+
+    fn union(&self, _: &ExecCtx<'_>, _: &[TaggedRelation]) -> Result<TaggedRelation> {
+        Err(BasiliskError::Plan("tagged plans have no union".into()))
+    }
+
+    fn atom_profiles(
+        &self,
+        arena: &MaskArena,
+        map: &FilterTagMap,
+        input: &TaggedRelation,
+    ) -> Result<Vec<AtomProfile>> {
+        filter_atom_profiles(self.tables, input, self.tree, map, arena)
+    }
+
+    fn rows(rel: &TaggedRelation) -> usize {
+        rel.num_tuples()
+    }
+
+    fn tuples(rel: &TaggedRelation) -> usize {
+        rel.num_tagged_tuples()
+    }
+
+    fn recycle(rel: TaggedRelation, arena: &MaskArena) {
+        rel.recycle(arena)
+    }
+}
+
+/// The traditional model (§1, §5): filters keep *true* tuples, joins are
+/// plain hash joins, unions deduplicate. `tree` is `None` for
+/// predicate-free (join-only) plans.
+struct Traditional<'a> {
+    tables: &'a TableSet,
+    tree: Option<&'a PredicateTree>,
+}
+
+impl Model for Traditional<'_> {
+    type Plan = APlan;
+    type Rel = IdxRelation;
+    type FilterOp = ExprId;
+    type JoinOp = ();
+    const FILTER: &'static str = "filter";
+    const JOIN: &'static str = "hash_join";
+
+    fn tables(&self) -> &TableSet {
+        self.tables
+    }
+
+    fn node(plan: &APlan) -> Node<'_, Self> {
+        match plan {
+            APlan::Scan { alias } => Node::Scan(alias),
+            APlan::Filter { node, child } => Node::Filter(node, &**child),
+            APlan::Join { cond, left, right } => Node::Join(cond, &(), &**left, &**right),
+            APlan::Union { children } => Node::Union(children),
+        }
+    }
+
+    fn scan(&self, cx: &ExecCtx<'_>, alias: &str) -> Result<IdxRelation> {
+        Ok(IdxRelation::base_in(
+            alias,
+            self.tables.num_rows(alias)?,
+            cx.arena,
+        ))
+    }
+
+    fn filter(&self, cx: &ExecCtx<'_>, node: &ExprId, input: &IdxRelation) -> Result<IdxRelation> {
+        filter(cx, self.tables, input, self.predicate()?, *node)
+    }
+
+    fn join(
+        &self,
+        cx: &ExecCtx<'_>,
+        cond: &JoinCond,
+        _: &(),
+        left: &IdxRelation,
+        right: &IdxRelation,
+    ) -> Result<IdxRelation> {
+        hash_join(cx, self.tables, left, right, &cond.left, &cond.right)
+    }
+
+    /// Deduplicates serially on the coordinator (the dedup table is
+    /// inherently order-dependent, and its output escapes into the
+    /// session arena), folding in child order over results that may have
+    /// been produced concurrently — bit-for-bit the serial order.
+    fn union(&self, cx: &ExecCtx<'_>, inputs: &[IdxRelation]) -> Result<IdxRelation> {
+        union_all_dedup(inputs, cx.arena)
+    }
+
+    /// Evaluated over every input tuple: the traditional path cannot
+    /// short-circuit across lanes.
+    fn atom_profiles(
+        &self,
+        arena: &MaskArena,
+        node: &ExprId,
+        input: &IdxRelation,
+    ) -> Result<Vec<AtomProfile>> {
+        relation_atom_profiles(self.tables, input, self.predicate()?, *node, arena)
+    }
+
+    fn rows(rel: &IdxRelation) -> usize {
+        rel.len()
+    }
+
+    fn tuples(rel: &IdxRelation) -> usize {
+        rel.len()
+    }
+
+    fn recycle(rel: IdxRelation, arena: &MaskArena) {
+        rel.recycle(arena)
+    }
+}
+
+impl<'a> Traditional<'a> {
+    fn predicate(&self) -> Result<&'a PredicateTree> {
+        self.tree
+            .ok_or_else(|| BasiliskError::Plan("filter node in a predicate-free plan".into()))
+    }
 }
 
 /// Stamp the shared operator attributes and close the span: row counts,
-/// how many morsels the operator's evaluation would fan out into, and —
-/// when it actually fanned out — the id of the parallel region it ran as.
+/// how many morsels an evaluation over `fan_rows` rows fans out into
+/// (`0` for operators that never fan out), and — when it actually
+/// fanned out — the id of the parallel region it ran as.
 fn span_finish(
-    tracer: Option<&Tracer>,
-    span: Option<SpanId>,
+    (t, s): (&Tracer, SpanId),
+    pool: Option<&WorkerPool>,
     rows_in: usize,
     rows_out: usize,
-    base_rows: usize,
-    pool: Option<&WorkerPool>,
+    fan_rows: usize,
 ) {
-    let (Some(t), Some(s)) = (tracer, span) else {
-        return;
-    };
     t.attr(s, "rows_in", rows_in);
     t.attr(s, "rows_out", rows_out);
-    let fanned = pool.is_some_and(|p| p.would_parallelize(base_rows));
-    let morsels = match pool {
-        Some(p) if fanned => p.morsels(base_rows).len(),
-        _ => 1,
-    };
-    t.attr(s, "morsels", morsels);
-    if fanned {
-        t.attr(s, "region", last_region_id());
+    match pool.filter(|p| p.would_parallelize(fan_rows)) {
+        Some(p) => {
+            t.attr(s, "morsels", p.morsels(fan_rows).len());
+            t.attr(s, "region", last_region_id());
+        }
+        None => t.attr(s, "morsels", 1usize),
     }
     t.end(s);
 }
@@ -71,10 +301,10 @@ fn span_finish(
 /// Sampled before/after an operator to stamp `zone_skips`/`zone_scans`
 /// deltas on its span (the atom profilers bypass the encoded path, so
 /// tracing itself never inflates the counters).
-fn zone_counters(arena: &MaskArena, pool: Option<&WorkerPool>) -> (u64, u64) {
-    let s = arena.stats();
+fn zone_counters(cx: &ExecCtx<'_>) -> (u64, u64) {
+    let s = cx.arena.stats();
     let (mut skips, mut scans) = (s.zone_skipped_morsels, s.zone_scanned_morsels);
-    if let Some(p) = pool {
+    if let Some(p) = cx.pool {
         let ps = p.arena_stats();
         skips += ps.zone_skipped_morsels;
         scans += ps.zone_scanned_morsels;
@@ -82,532 +312,213 @@ fn zone_counters(arena: &MaskArena, pool: Option<&WorkerPool>) -> (u64, u64) {
     (skips, scans)
 }
 
-/// Stamp the zone-map skip attributes on a span from a counter delta.
-fn span_zones(
-    tracer: Option<&Tracer>,
-    span: Option<SpanId>,
-    before: (u64, u64),
-    after: (u64, u64),
-) {
-    let (Some(t), Some(s)) = (tracer, span) else {
-        return;
-    };
-    t.attr(s, "zone_skips", after.0 - before.0);
-    t.attr(s, "zone_scans", after.1 - before.1);
-}
-
-/// Attach one `atom` child span per profiled atom (tracing-only; the
-/// profiles re-evaluate the operator's predicate subtree).
-fn span_atoms(tracer: Option<&Tracer>, span: Option<SpanId>, profiles: Result<Vec<AtomProfile>>) {
-    let (Some(t), Some(_)) = (tracer, span) else {
-        return;
-    };
-    // Profiling shares the operator's evaluation path; an error here
-    // would have failed the operator itself, so it is safe to drop.
-    let Ok(profiles) = profiles else { return };
-    for p in profiles {
-        let a = t.begin("atom");
-        t.attr(a, "atom", p.atom);
-        t.attr(a, "lanes_evaluated", p.lanes_evaluated);
-        t.attr(a, "lanes_short_circuited", p.lanes_short_circuited);
-        t.attr(a, "true_count", p.true_count);
-        t.attr(a, "unknown_count", p.unknown_count);
-        t.end(a);
-    }
-}
-
-/// Largest base-relation cardinality under a tagged subtree — the
-/// size proxy the subtree-shipping heuristic compares against the morsel
-/// threshold (unknown aliases pessimize to `usize::MAX`, which simply
-/// keeps the subtree on the coordinator; the real error surfaces when the
-/// subtree executes).
-fn max_base_rows_tagged(plan: &TPlan, tables: &TableSet) -> usize {
-    match plan {
-        TPlan::Scan { alias } => tables.num_rows(alias).unwrap_or(usize::MAX),
-        TPlan::Filter { child, .. } => max_base_rows_tagged(child, tables),
-        TPlan::Join { left, right, .. } => {
-            max_base_rows_tagged(left, tables).max(max_base_rows_tagged(right, tables))
-        }
-    }
-}
-
-/// Largest base-relation cardinality under an abstract subtree.
-fn max_base_rows_abstract(plan: &APlan, tables: &TableSet) -> usize {
-    match plan {
-        APlan::Scan { alias } => tables.num_rows(alias).unwrap_or(usize::MAX),
-        APlan::Filter { child, .. } => max_base_rows_abstract(child, tables),
-        APlan::Join { left, right, .. } => {
-            max_base_rows_abstract(left, tables).max(max_base_rows_abstract(right, tables))
-        }
-        APlan::Union { children } => children
+/// Largest base-relation cardinality under a subtree — the size proxy
+/// the shipping heuristic compares against the morsel threshold (unknown
+/// aliases pessimize to `usize::MAX`, which simply keeps the subtree on
+/// the coordinator; the real error surfaces when the subtree executes).
+fn max_base_rows<M: Model>(m: &M, plan: &M::Plan) -> usize {
+    match M::node(plan) {
+        Node::Scan(alias) => m.tables().num_rows(alias).unwrap_or(usize::MAX),
+        Node::Filter(_, child) => max_base_rows(m, child),
+        Node::Join(_, _, left, right) => max_base_rows(m, left).max(max_base_rows(m, right)),
+        Node::Union(children) => children
             .iter()
-            .map(|c| max_base_rows_abstract(c, tables))
+            .map(|c| max_base_rows(m, c))
             .max()
             .unwrap_or(0),
     }
 }
 
-/// Whether a tagged subtree should be **shipped** to the pool as one
+/// Whether a subtree should be **shipped** to the pool as one
 /// schedulable task: it does real work (not a bare scan, whose pooled
 /// identity allocation is cheaper than a region) and it is small enough
 /// that none of its operators would have fanned out morsel-parallel —
 /// shipping it serial therefore *adds* parallelism (the subtree overlaps
-/// its sibling and other sessions' regions) without ever taking
+/// its siblings and other sessions' regions) without ever taking
 /// morsel-level parallelism away from a large subtree.
-fn ships_tagged(pool: &WorkerPool, plan: &TPlan, tables: &TableSet) -> bool {
-    !matches!(plan, TPlan::Scan { .. })
-        && !pool.would_parallelize(max_base_rows_tagged(plan, tables))
+fn ships<M: Model>(m: &M, pool: &WorkerPool, plan: &M::Plan) -> bool {
+    !matches!(M::node(plan), Node::Scan(_)) && !pool.would_parallelize(max_base_rows(m, plan))
 }
 
-/// [`ships_tagged`] for abstract subtrees (the traditional interpreter).
-fn ships_abstract(pool: &WorkerPool, plan: &APlan, tables: &TableSet) -> bool {
-    !matches!(plan, APlan::Scan { .. })
-        && !pool.would_parallelize(max_base_rows_abstract(plan, tables))
+/// A node's evaluated children, in child order, each beside the arena
+/// that produced it: a worker's (`Some(worker)`, shipped subtrees) or
+/// the session's.
+struct Inputs<R> {
+    homes: Vec<Option<u32>>,
+    rels: Vec<R>,
+}
+
+impl<R> Inputs<R> {
+    /// Hand every relation back to the arena that produced it.
+    fn recycle<M: Model<Rel = R>>(self, cx: &ExecCtx<'_>) {
+        for (home, rel) in self.homes.into_iter().zip(self.rels) {
+            match (home, cx.pool) {
+                (Some(w), Some(pool)) => pool.with_arena(w, |a| M::recycle(rel, a)),
+                _ => M::recycle(rel, cx.arena),
+            }
+        }
+    }
+}
+
+/// Evaluate a node's children.
+///
+/// Independent-subtree parallelism — both inputs of a join, the clauses
+/// of a BDisj union: when at least two children [`ships`], those run as
+/// the tasks of one region, concurrently on the pool's workers (and
+/// interleaved with other sessions' regions) while this thread waits;
+/// large children stay on this thread with full morsel parallelism.
+/// Each shipped result's buffers live in the producing worker's arena,
+/// and the task bodies run under [`ExecCtx::serial`] — a task never
+/// re-enters the pool. Traced runs never ship. A failing child recycles
+/// every sibling already evaluated before the error propagates.
+fn run_children<M: Model>(
+    m: &M,
+    cx: &ExecCtx<'_>,
+    children: &[&M::Plan],
+) -> Result<Inputs<M::Rel>> {
+    let mut slots: Vec<Option<(Option<u32>, M::Rel)>> = children.iter().map(|_| None).collect();
+    if let (Some(pool), None) = (cx.pool, cx.tracer) {
+        let shipped: Vec<usize> = (0..children.len())
+            .filter(|&i| ships(m, pool, children[i]))
+            .collect();
+        if shipped.len() >= 2 {
+            let results = pool.run(
+                shipped.iter().map(|&i| children[i]).collect(),
+                |w, child| walk(m, &ExecCtx::serial(w.arena), child),
+                |a, rel| M::recycle(rel, a),
+            )?;
+            for (i, (w, rel)) in shipped.into_iter().zip(results) {
+                slots[i] = Some((Some(w), rel));
+            }
+        }
+    }
+    let evaluated = slots
+        .iter_mut()
+        .zip(children)
+        .try_for_each(|(slot, child)| {
+            if slot.is_none() {
+                *slot = Some((None, walk(m, cx, child)?));
+            }
+            Ok(())
+        });
+    let (homes, rels) = slots.into_iter().flatten().unzip();
+    let done = Inputs { homes, rels };
+    match evaluated {
+        Ok(()) => Ok(done),
+        Err(e) => {
+            done.recycle::<M>(cx);
+            Err(e)
+        }
+    }
+}
+
+/// Execute the subtree rooted at `plan` under model `m`.
+fn walk<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan) -> Result<M::Rel> {
+    let node = M::node(plan);
+    let (name, children): (_, Vec<&M::Plan>) = match &node {
+        Node::Scan(_) => ("scan", vec![]),
+        Node::Filter(_, child) => (M::FILTER, vec![*child]),
+        Node::Join(_, _, left, right) => (M::JOIN, vec![*left, *right]),
+        Node::Union(children) => ("union", children.iter().collect()),
+    };
+    // The span opens **before** the children execute, so the span tree
+    // mirrors the plan tree (durations are inclusive of the subtree).
+    let span = cx.tracer.map(|t| (t, t.begin(name)));
+    let inputs = run_children(m, cx, &children)?;
+    let rels = &inputs.rels;
+    let zones_before = match (&span, &node) {
+        (Some(_), Node::Scan(_) | Node::Filter(..)) => Some(zone_counters(cx)),
+        _ => None,
+    };
+    let out = match &node {
+        Node::Scan(alias) => m.scan(cx, alias),
+        Node::Filter(op, _) => m.filter(cx, op, &rels[0]),
+        Node::Join(cond, op, ..) => m.join(cx, cond, op, &rels[0], &rels[1]),
+        Node::Union(_) => m.union(cx, rels),
+    };
+    if let Some((t, s)) = span {
+        if let Some(before) = zones_before {
+            let after = zone_counters(cx);
+            t.attr(s, "zone_skips", after.0 - before.0);
+            t.attr(s, "zone_scans", after.1 - before.1);
+        }
+        // Profiling shares the filter's evaluation path; an error here
+        // would have failed the operator itself, so it is safe to drop.
+        if let Node::Filter(op, _) = &node {
+            for p in m.atom_profiles(cx.arena, op, &rels[0]).unwrap_or_default() {
+                let a = t.begin("atom");
+                t.attr(a, "atom", p.atom);
+                t.attr(a, "lanes_evaluated", p.lanes_evaluated);
+                t.attr(a, "lanes_short_circuited", p.lanes_short_circuited);
+                t.attr(a, "true_count", p.true_count);
+                t.attr(a, "unknown_count", p.unknown_count);
+                t.end(a);
+            }
+        }
+        // Filters and joins fan out by their largest input; scans and
+        // the (serial) union dedup never do.
+        let fan_rows = match node {
+            Node::Union(_) => 0,
+            _ => rels.iter().map(M::rows).max().unwrap_or(0),
+        };
+        span_finish(
+            (t, s),
+            cx.pool,
+            rels.iter().map(M::tuples).sum(),
+            out.as_ref().map_or(0, M::tuples),
+            fan_rows,
+        );
+    }
+    inputs.recycle::<M>(cx);
+    out
 }
 
 /// Execute a tagged physical plan, returning the final (projected) index
 /// relation.
+///
+/// With `cx.pool` every filter evaluates morsel-parallel and every join
+/// probes partitioned (per relation, when it is large enough to fan
+/// out), and small sibling subtrees ship as pool tasks; with `cx.tracer`
+/// each operator records a span (nested to mirror the plan tree)
+/// carrying `rows_in`/`rows_out`, its morsel fan-out, the parallel-region
+/// id it ran as, and — for filters — one `atom` child span per predicate
+/// atom with its lane-evaluation profile. Output is bit-for-bit
+/// identical across all four combinations.
 pub fn execute_tagged(
+    cx: &ExecCtx<'_>,
     plan: &TPlan,
     projection: &ProjectionTags,
     tables: &TableSet,
     tree: &PredicateTree,
-    arena: &MaskArena,
 ) -> Result<IdxRelation> {
-    execute_tagged_impl(plan, projection, tables, tree, arena, None, None)
-}
-
-/// [`execute_tagged`] in **parallel mode**: every filter evaluates
-/// morsel-parallel and every join probes partitioned on `pool`'s workers
-/// (the operators fall back to their serial paths per relation when it
-/// is too small to fan out, so this is safe to use unconditionally).
-/// Output is identical to serial execution.
-pub fn execute_tagged_with(
-    plan: &TPlan,
-    projection: &ProjectionTags,
-    tables: &TableSet,
-    tree: &PredicateTree,
-    arena: &MaskArena,
-    pool: &WorkerPool,
-) -> Result<IdxRelation> {
-    execute_tagged_impl(plan, projection, tables, tree, arena, Some(pool), None)
-}
-
-/// [`execute_tagged_with`] with an optional per-request [`Tracer`]: each
-/// operator records a span (nested to mirror the plan tree) carrying
-/// `rows_in`/`rows_out`, its morsel fan-out, the parallel-region id it
-/// ran as, and — for filters — one `atom` child span per predicate atom
-/// with its lane-evaluation profile. Traced runs keep every operator on
-/// the coordinating thread (subtree shipping is disabled, because the
-/// tracer is single-threaded by design), but output is bit-for-bit
-/// identical to the untraced run.
-pub fn execute_tagged_traced(
-    plan: &TPlan,
-    projection: &ProjectionTags,
-    tables: &TableSet,
-    tree: &PredicateTree,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-    tracer: Option<&Tracer>,
-) -> Result<IdxRelation> {
-    execute_tagged_impl(plan, projection, tables, tree, arena, pool, tracer)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_tagged_impl(
-    plan: &TPlan,
-    projection: &ProjectionTags,
-    tables: &TableSet,
-    tree: &PredicateTree,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-    tracer: Option<&Tracer>,
-) -> Result<IdxRelation> {
-    let rel = run_tagged(plan, tables, tree, arena, pool, tracer)?;
-    let span = span_begin(tracer, "project");
-    let out = tagged_select_final(&rel, projection, arena);
-    if tracer.is_some() {
-        span_finish(tracer, span, rel.num_tagged_tuples(), out.len(), 0, None);
+    let rel = walk(&Tagged { tables, tree }, cx, plan)?;
+    let span = cx.tracer.map(|t| (t, t.begin("project")));
+    let out = tagged_select_final(&rel, projection, cx.arena);
+    if let Some(span) = span {
+        span_finish(span, None, rel.num_tagged_tuples(), out.len(), 0);
     }
-    rel.recycle(arena);
+    rel.recycle(cx.arena);
     Ok(out)
 }
 
-fn run_tagged(
-    plan: &TPlan,
-    tables: &TableSet,
-    tree: &PredicateTree,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-    tracer: Option<&Tracer>,
-) -> Result<TaggedRelation> {
-    match plan {
-        TPlan::Scan { alias } => {
-            let span = span_begin(tracer, "scan");
-            let zones_before = tracer.is_some().then(|| zone_counters(arena, pool));
-            let rel = TaggedRelation::base_in(
-                IdxRelation::base_in(alias.clone(), tables.num_rows(alias)?, arena),
-                arena,
-            );
-            if let Some(before) = zones_before {
-                span_zones(tracer, span, before, zone_counters(arena, pool));
-            }
-            span_finish(tracer, span, 0, rel.num_tuples(), 0, None);
-            Ok(rel)
-        }
-        TPlan::Filter { map, child, .. } => {
-            let span = span_begin(tracer, "tagged_filter");
-            let input = run_tagged(child, tables, tree, arena, pool, tracer)?;
-            let zones_before = tracer.is_some().then(|| zone_counters(arena, pool));
-            let out = match pool {
-                Some(p) => tagged_filter_par(tables, &input, tree, map, arena, p),
-                None => tagged_filter(tables, &input, tree, map, arena),
-            };
-            if let Some(before) = zones_before {
-                span_zones(tracer, span, before, zone_counters(arena, pool));
-                span_atoms(
-                    tracer,
-                    span,
-                    filter_atom_profiles(tables, &input, tree, map, arena),
-                );
-                let rows_out = out.as_ref().map(|o| o.num_tagged_tuples()).unwrap_or(0);
-                span_finish(
-                    tracer,
-                    span,
-                    input.num_tagged_tuples(),
-                    rows_out,
-                    input.num_tuples(),
-                    pool,
-                );
-            }
-            input.recycle(arena);
-            out
-        }
-        TPlan::Join {
-            cond,
-            map,
-            left,
-            right,
-        } => {
-            let span = span_begin(tracer, "tagged_join");
-            // Independent-subtree parallelism: when both inputs are
-            // small serial subtrees, ship them as one two-task region —
-            // they evaluate concurrently on two workers (and interleave
-            // with other sessions' regions) while this thread waits.
-            // Each result's buffers live in the producing worker's arena
-            // and are recycled back into it; the join output itself is
-            // built from the session arena as usual. Shipped subtrees run
-            // with `pool: None` — a task must never re-enter the pool.
-            // Traced runs never ship: the tracer is bound to this thread.
-            if let Some(p) = pool {
-                if tracer.is_none()
-                    && ships_tagged(p, left, tables)
-                    && ships_tagged(p, right, tables)
-                {
-                    let ((wl, l), (wr, r)) = p.run_pair(
-                        |ctx| run_tagged(left, tables, tree, ctx.arena, None, None),
-                        |ctx| run_tagged(right, tables, tree, ctx.arena, None, None),
-                        |a, rel| rel.recycle(a),
-                        |a, rel| rel.recycle(a),
-                    )?;
-                    let out =
-                        tagged_join_par(tables, &l, &r, &cond.left, &cond.right, map, arena, p);
-                    p.with_arena(wl, |a| l.recycle(a));
-                    p.with_arena(wr, |a| r.recycle(a));
-                    return out;
-                }
-            }
-            let l = run_tagged(left, tables, tree, arena, pool, tracer)?;
-            // A failing right subtree must not strand the left's buffers.
-            let r = match run_tagged(right, tables, tree, arena, pool, tracer) {
-                Ok(r) => r,
-                Err(e) => {
-                    l.recycle(arena);
-                    return Err(e);
-                }
-            };
-            let out = match pool {
-                Some(p) => tagged_join_par(tables, &l, &r, &cond.left, &cond.right, map, arena, p),
-                None => tagged_join(tables, &l, &r, &cond.left, &cond.right, map, arena),
-            };
-            if tracer.is_some() {
-                let rows_out = out.as_ref().map(|o| o.num_tagged_tuples()).unwrap_or(0);
-                span_finish(
-                    tracer,
-                    span,
-                    l.num_tagged_tuples() + r.num_tagged_tuples(),
-                    rows_out,
-                    l.num_tuples().max(r.num_tuples()),
-                    pool,
-                );
-            }
-            l.recycle(arena);
-            r.recycle(arena);
-            out
-        }
-    }
-}
-
-/// Execute an abstract plan under the traditional model: filters keep
-/// *true* tuples, joins are plain hash joins, unions deduplicate.
-///
-/// Intermediate relations are recycled into the arena's column pool as
-/// soon as the consuming operator has produced its output, mirroring the
-/// tagged interpreter's discipline — so the traditional path is equally
-/// allocation-free in steady state.
+/// Execute an abstract plan under the traditional model (see
+/// [`execute_tagged`] for what `cx` selects; the span contract is the
+/// same with `filter`/`hash_join`/`union` operator names). `tree` may be
+/// `None` for a predicate-free plan; meeting a filter node without one
+/// is a [`BasiliskError::Plan`].
 pub fn execute_traditional(
+    cx: &ExecCtx<'_>,
     plan: &APlan,
     tables: &TableSet,
-    tree: &PredicateTree,
-    arena: &MaskArena,
+    tree: Option<&PredicateTree>,
 ) -> Result<IdxRelation> {
-    execute_traditional_impl(plan, tables, tree, arena, None, None)
-}
-
-/// [`execute_traditional`] in **parallel mode** (see
-/// [`execute_tagged_with`]): parallel filters and partitioned join
-/// probes; unions deduplicate serially (the dedup table is inherently
-/// order-dependent), over child plans that were themselves executed in
-/// parallel.
-pub fn execute_traditional_with(
-    plan: &APlan,
-    tables: &TableSet,
-    tree: &PredicateTree,
-    arena: &MaskArena,
-    pool: &WorkerPool,
-) -> Result<IdxRelation> {
-    execute_traditional_impl(plan, tables, tree, arena, Some(pool), None)
-}
-
-/// [`execute_traditional_with`] with an optional per-request [`Tracer`]
-/// (see [`execute_tagged_traced`] for the span contract; traditional
-/// filter spans carry the same per-atom profile children, evaluated over
-/// every input tuple since the traditional path cannot short-circuit
-/// across lanes).
-pub fn execute_traditional_traced(
-    plan: &APlan,
-    tables: &TableSet,
-    tree: &PredicateTree,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-    tracer: Option<&Tracer>,
-) -> Result<IdxRelation> {
-    execute_traditional_impl(plan, tables, tree, arena, pool, tracer)
-}
-
-fn execute_traditional_impl(
-    plan: &APlan,
-    tables: &TableSet,
-    tree: &PredicateTree,
-    arena: &MaskArena,
-    pool: Option<&WorkerPool>,
-    tracer: Option<&Tracer>,
-) -> Result<IdxRelation> {
-    match plan {
-        APlan::Scan { alias } => {
-            let span = span_begin(tracer, "scan");
-            let zones_before = tracer.is_some().then(|| zone_counters(arena, pool));
-            let rel = IdxRelation::base_in(alias.clone(), tables.num_rows(alias)?, arena);
-            if let Some(before) = zones_before {
-                span_zones(tracer, span, before, zone_counters(arena, pool));
-            }
-            span_finish(tracer, span, 0, rel.len(), 0, None);
-            Ok(rel)
-        }
-        APlan::Filter { node, child } => {
-            let span = span_begin(tracer, "filter");
-            let input = execute_traditional_impl(child, tables, tree, arena, pool, tracer)?;
-            let zones_before = tracer.is_some().then(|| zone_counters(arena, pool));
-            let out = match pool {
-                Some(p) => filter_par(tables, &input, tree, *node, arena, p),
-                None => plain_filter(tables, &input, tree, *node, arena),
-            };
-            if let Some(before) = zones_before {
-                span_zones(tracer, span, before, zone_counters(arena, pool));
-                span_atoms(
-                    tracer,
-                    span,
-                    relation_atom_profiles(tables, &input, tree, *node, arena),
-                );
-                let rows_out = out.as_ref().map(|o| o.len()).unwrap_or(0);
-                span_finish(tracer, span, input.len(), rows_out, input.len(), pool);
-            }
-            input.recycle(arena);
-            out
-        }
-        APlan::Join { cond, left, right } => {
-            let span = span_begin(tracer, "hash_join");
-            // Same independent-subtree shipping as the tagged
-            // interpreter (see `run_tagged`): both small inputs evaluate
-            // concurrently as one region. Traced runs never ship.
-            if let Some(p) = pool {
-                if tracer.is_none()
-                    && ships_abstract(p, left, tables)
-                    && ships_abstract(p, right, tables)
-                {
-                    let ((wl, l), (wr, r)) = p.run_pair(
-                        |ctx| execute_traditional_impl(left, tables, tree, ctx.arena, None, None),
-                        |ctx| execute_traditional_impl(right, tables, tree, ctx.arena, None, None),
-                        |a, rel| rel.recycle(a),
-                        |a, rel| rel.recycle(a),
-                    )?;
-                    let out = hash_join_par(
-                        tables,
-                        &l,
-                        &r,
-                        &cond.left,
-                        &cond.right,
-                        JoinSide::Smaller,
-                        arena,
-                        p,
-                    );
-                    p.with_arena(wl, |a| l.recycle(a));
-                    p.with_arena(wr, |a| r.recycle(a));
-                    return out;
-                }
-            }
-            let l = execute_traditional_impl(left, tables, tree, arena, pool, tracer)?;
-            // A failing right subtree must not strand the left's buffers.
-            let r = match execute_traditional_impl(right, tables, tree, arena, pool, tracer) {
-                Ok(r) => r,
-                Err(e) => {
-                    l.recycle(arena);
-                    return Err(e);
-                }
-            };
-            let out = match pool {
-                Some(p) => hash_join_par(
-                    tables,
-                    &l,
-                    &r,
-                    &cond.left,
-                    &cond.right,
-                    JoinSide::Smaller,
-                    arena,
-                    p,
-                ),
-                None => hash_join(
-                    tables,
-                    &l,
-                    &r,
-                    &cond.left,
-                    &cond.right,
-                    JoinSide::Smaller,
-                    arena,
-                ),
-            };
-            if tracer.is_some() {
-                let rows_out = out.as_ref().map(|o| o.len()).unwrap_or(0);
-                span_finish(
-                    tracer,
-                    span,
-                    l.len() + r.len(),
-                    rows_out,
-                    l.len().max(r.len()),
-                    pool,
-                );
-            }
-            l.recycle(arena);
-            r.recycle(arena);
-            out
-        }
-        APlan::Union { children } => {
-            let span = span_begin(tracer, "union");
-            // BDisj clause parallelism: every small serial clause ships
-            // to the pool as one task of a single region, while large
-            // clauses stay on this thread with full morsel parallelism.
-            // The dedup fold itself runs here — its output escapes into
-            // the session arena, and folding on a worker would recycle
-            // session buffers into a worker arena (corrupting per-arena
-            // accounting) — but it folds in original child order over
-            // results produced concurrently, so output is bit-for-bit
-            // the serial order. Traced runs never ship.
-            let shipped_idx: Vec<usize> = match pool {
-                Some(p) if tracer.is_none() => (0..children.len())
-                    .filter(|&i| ships_abstract(p, &children[i], tables))
-                    .collect(),
-                _ => Vec::new(),
-            };
-            if shipped_idx.len() >= 2 {
-                let p = pool.expect("shipping implies a pool");
-                let shipped = p.run(
-                    shipped_idx.iter().map(|&i| &children[i]).collect(),
-                    |ctx, c: &APlan| {
-                        execute_traditional_impl(c, tables, tree, ctx.arena, None, None)
-                    },
-                    |a, rel: IdxRelation| rel.recycle(a),
-                )?;
-                // Reassemble in child order: `home[i]` remembers which
-                // arena child i's relation must be recycled into.
-                let mut slots: Vec<Option<(Option<u32>, IdxRelation)>> =
-                    children.iter().map(|_| None).collect();
-                for (k, (w, rel)) in shipped.into_iter().enumerate() {
-                    slots[shipped_idx[k]] = Some((Some(w), rel));
-                }
-                let mut failure = None;
-                for (i, c) in children.iter().enumerate() {
-                    if slots[i].is_some() {
-                        continue;
-                    }
-                    match execute_traditional_impl(c, tables, tree, arena, pool, None) {
-                        Ok(rel) => slots[i] = Some((None, rel)),
-                        Err(e) => {
-                            failure = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let mut homes: Vec<Option<u32>> = Vec::with_capacity(children.len());
-                let mut rels: Vec<IdxRelation> = Vec::with_capacity(children.len());
-                for (home, rel) in slots.into_iter().flatten() {
-                    homes.push(home);
-                    rels.push(rel);
-                }
-                let out = match failure {
-                    Some(e) => Err(e),
-                    None => union_all_dedup(&rels, arena),
-                };
-                for (home, rel) in homes.into_iter().zip(rels) {
-                    match home {
-                        Some(w) => p.with_arena(w, |a| rel.recycle(a)),
-                        None => rel.recycle(arena),
-                    }
-                }
-                return out;
-            }
-            // Collect child results by hand so that a failing later child
-            // recycles every earlier child's relation before propagating.
-            let mut rels: Vec<IdxRelation> = Vec::with_capacity(children.len());
-            for c in children {
-                match execute_traditional_impl(c, tables, tree, arena, pool, tracer) {
-                    Ok(rel) => rels.push(rel),
-                    Err(e) => {
-                        for rel in rels {
-                            rel.recycle(arena);
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            let out = union_all_dedup(&rels, arena);
-            if tracer.is_some() {
-                let rows_in = rels.iter().map(|r| r.len()).sum();
-                let rows_out = out.as_ref().map(|o| o.len()).unwrap_or(0);
-                span_finish(tracer, span, rows_in, rows_out, 0, None);
-            }
-            for rel in rels {
-                rel.recycle(arena);
-            }
-            out
-        }
-    }
+    walk(&Traditional { tables, tree }, cx, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::{annotate_tagged, CostModel};
-    use crate::query::JoinCond;
     use basilisk_catalog::{Catalog, Estimator};
     use basilisk_core::{TagMapBuilder, TagMapStrategy};
     use basilisk_expr::{and, col, or, ColumnRef};
@@ -665,34 +576,66 @@ mod tests {
             .unwrap()
     }
 
+    fn cond() -> JoinCond {
+        JoinCond::new(ColumnRef::new("t", "id"), ColumnRef::new("mi", "movie_id"))
+    }
+
+    /// Every atom pushed below the join, annotated for tagged execution.
+    fn pushed(tree: &PredicateTree, est: &Estimator) -> crate::cost::TaggedAnnotation {
+        let plan = APlan::join(
+            cond(),
+            APlan::filter(
+                find(tree, "t.year > 1980"),
+                APlan::filter(find(tree, "t.year > 2000"), APlan::scan("t")),
+            ),
+            APlan::filter(
+                find(tree, "mi.score > 7"),
+                APlan::filter(find(tree, "mi.score > 8"), APlan::scan("mi")),
+            ),
+        );
+        let builder = TagMapBuilder::new(tree, TagMapStrategy::Generalized { use_closure: true });
+        annotate_tagged(&plan, tree, &builder, est, &CostModel::default()).unwrap()
+    }
+
+    /// One join-of-filters plan per root clause, unioned (BDisj-style);
+    /// the clauses share most matches, so the union must dedup.
+    fn union_of_clauses(tree: &PredicateTree) -> APlan {
+        let clause = |y: &str, s: &str| {
+            APlan::join(
+                cond(),
+                APlan::filter(find(tree, y), APlan::scan("t")),
+                APlan::filter(find(tree, s), APlan::scan("mi")),
+            )
+        };
+        APlan::Union {
+            children: vec![
+                clause("t.year > 2000", "mi.score > 7"),
+                clause("t.year > 1980", "mi.score > 8"),
+            ],
+        }
+    }
+
+    /// The whole predicate over the bare join.
+    fn join_then_filter(tree: &PredicateTree) -> APlan {
+        APlan::filter(
+            tree.root(),
+            APlan::join(cond(), APlan::scan("t"), APlan::scan("mi")),
+        )
+    }
+
     /// The golden equivalence: the same abstract pushdown plan executed
     /// tagged and a join-then-filter plan executed traditionally agree.
     #[test]
     fn tagged_equals_traditional() {
         let (_cat, tables, est, tree) = setup();
-        let cond = JoinCond::new(ColumnRef::new("t", "id"), ColumnRef::new("mi", "movie_id"));
-        let pushed = APlan::join(
-            cond.clone(),
-            APlan::filter(
-                find(&tree, "t.year > 1980"),
-                APlan::filter(find(&tree, "t.year > 2000"), APlan::scan("t")),
-            ),
-            APlan::filter(
-                find(&tree, "mi.score > 7"),
-                APlan::filter(find(&tree, "mi.score > 8"), APlan::scan("mi")),
-            ),
-        );
-        let builder = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
-        let ann = annotate_tagged(&pushed, &tree, &builder, &est, &CostModel::default()).unwrap();
-        let got = execute_tagged(&ann.plan, &ann.projection, &tables, &tree, &arena()).unwrap();
+        let ann = pushed(&tree, &est);
+        let a = arena();
+        let cx = ExecCtx::serial(&a);
+        let got = execute_tagged(&cx, &ann.plan, &ann.projection, &tables, &tree).unwrap();
+        let expected =
+            execute_traditional(&cx, &join_then_filter(&tree), &tables, Some(&tree)).unwrap();
 
-        let reference = APlan::filter(
-            tree.root(),
-            APlan::join(cond, APlan::scan("t"), APlan::scan("mi")),
-        );
-        let expected = execute_traditional(&reference, &tables, &tree, &arena()).unwrap();
-
-        let mut a: Vec<(u32, u32)> = (0..got.len())
+        let mut g: Vec<(u32, u32)> = (0..got.len())
             .map(|i| (got.col("t").unwrap()[i], got.col("mi").unwrap()[i]))
             .collect();
         let mut e: Vec<(u32, u32)> = (0..expected.len())
@@ -703,10 +646,10 @@ mod tests {
                 )
             })
             .collect();
-        a.sort_unstable();
+        g.sort_unstable();
         e.sort_unstable();
-        assert!(!a.is_empty(), "query should match something");
-        assert_eq!(a, e);
+        assert!(!g.is_empty(), "query should match something");
+        assert_eq!(g, e);
     }
 
     /// A traced tagged run returns bit-for-bit the untraced output and
@@ -716,33 +659,17 @@ mod tests {
     #[test]
     fn traced_tagged_run_matches_untraced_and_records_spans() {
         let (_cat, tables, est, tree) = setup();
-        let cond = JoinCond::new(ColumnRef::new("t", "id"), ColumnRef::new("mi", "movie_id"));
-        let pushed = APlan::join(
-            cond,
-            APlan::filter(
-                find(&tree, "t.year > 1980"),
-                APlan::filter(find(&tree, "t.year > 2000"), APlan::scan("t")),
-            ),
-            APlan::filter(
-                find(&tree, "mi.score > 7"),
-                APlan::filter(find(&tree, "mi.score > 8"), APlan::scan("mi")),
-            ),
-        );
-        let builder = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
-        let ann = annotate_tagged(&pushed, &tree, &builder, &est, &CostModel::default()).unwrap();
+        let ann = pushed(&tree, &est);
         let a = arena();
-        let untraced = execute_tagged(&ann.plan, &ann.projection, &tables, &tree, &a).unwrap();
+        let cx = ExecCtx::serial(&a);
+        let untraced = execute_tagged(&cx, &ann.plan, &ann.projection, &tables, &tree).unwrap();
         let tracer = Tracer::new();
-        let traced = execute_tagged_traced(
-            &ann.plan,
-            &ann.projection,
-            &tables,
-            &tree,
-            &a,
-            None,
-            Some(&tracer),
-        )
-        .unwrap();
+        let traced_cx = ExecCtx {
+            tracer: Some(&tracer),
+            ..cx
+        };
+        let traced =
+            execute_tagged(&traced_cx, &ann.plan, &ann.projection, &tables, &tree).unwrap();
         assert_eq!(traced.len(), untraced.len());
         for alias in ["t", "mi"] {
             let got: Vec<u32> = (0..traced.len())
@@ -782,31 +709,22 @@ mod tests {
         assert_eq!(join.int("rows_out"), project.int("rows_in"));
     }
 
-    /// The traditional interpreter's traced union path: identical output,
+    /// The traditional model's traced union path: identical output,
     /// a `union` span whose `rows_out` matches the result, and `filter`
     /// spans with full-relation atom profiles.
     #[test]
     fn traced_union_run_matches_untraced() {
         let (_cat, tables, _est, tree) = setup();
-        let cond = JoinCond::new(ColumnRef::new("t", "id"), ColumnRef::new("mi", "movie_id"));
-        let clause = |y: &str, s: &str| {
-            APlan::join(
-                cond.clone(),
-                APlan::filter(find(&tree, y), APlan::scan("t")),
-                APlan::filter(find(&tree, s), APlan::scan("mi")),
-            )
-        };
-        let u = APlan::Union {
-            children: vec![
-                clause("t.year > 2000", "mi.score > 7"),
-                clause("t.year > 1980", "mi.score > 8"),
-            ],
-        };
+        let u = union_of_clauses(&tree);
         let a = arena();
-        let untraced = execute_traditional(&u, &tables, &tree, &a).unwrap();
+        let cx = ExecCtx::serial(&a);
+        let untraced = execute_traditional(&cx, &u, &tables, Some(&tree)).unwrap();
         let tracer = Tracer::new();
-        let traced =
-            execute_traditional_traced(&u, &tables, &tree, &a, None, Some(&tracer)).unwrap();
+        let traced_cx = ExecCtx {
+            tracer: Some(&tracer),
+            ..cx
+        };
+        let traced = execute_traditional(&traced_cx, &u, &tables, Some(&tree)).unwrap();
         assert_eq!(traced.len(), untraced.len());
 
         let root = tracer.finish();
@@ -829,27 +747,27 @@ mod tests {
     #[test]
     fn union_plan_executes() {
         let (_cat, tables, _est, tree) = setup();
-        let cond = JoinCond::new(ColumnRef::new("t", "id"), ColumnRef::new("mi", "movie_id"));
-        // Clause plans share most matches → union must dedup.
-        let clause = |y: &str, s: &str| {
-            APlan::join(
-                cond.clone(),
-                APlan::filter(find(&tree, y), APlan::scan("t")),
-                APlan::filter(find(&tree, s), APlan::scan("mi")),
-            )
-        };
-        let u = APlan::Union {
-            children: vec![
-                clause("t.year > 2000", "mi.score > 7"),
-                clause("t.year > 1980", "mi.score > 8"),
-            ],
-        };
-        let got = execute_traditional(&u, &tables, &tree, &arena()).unwrap();
-        let reference = APlan::filter(
-            tree.root(),
-            APlan::join(cond, APlan::scan("t"), APlan::scan("mi")),
-        );
-        let expected = execute_traditional(&reference, &tables, &tree, &arena()).unwrap();
+        let a = arena();
+        let cx = ExecCtx::serial(&a);
+        let got = execute_traditional(&cx, &union_of_clauses(&tree), &tables, Some(&tree)).unwrap();
+        let expected =
+            execute_traditional(&cx, &join_then_filter(&tree), &tables, Some(&tree)).unwrap();
         assert_eq!(got.len(), expected.len());
+    }
+
+    /// A filter node in a plan executed without a predicate tree is a
+    /// typed plan error, not a panic.
+    #[test]
+    fn filter_without_a_predicate_tree_is_a_plan_error() {
+        let (_cat, tables, _est, tree) = setup();
+        let a = arena();
+        let err = execute_traditional(
+            &ExecCtx::serial(&a),
+            &join_then_filter(&tree),
+            &tables,
+            None,
+        );
+        assert!(matches!(err, Err(BasiliskError::Plan(_))));
+        assert_eq!(a.outstanding(), 0, "the join below the filter was recycled");
     }
 }

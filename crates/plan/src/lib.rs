@@ -29,10 +29,7 @@ mod session;
 
 pub use aplan::APlan;
 pub use cost::{annotate_tagged, cost_traditional, CostModel, TPlan, TaggedAnnotation};
-pub use executor::{
-    execute_tagged, execute_tagged_traced, execute_tagged_with, execute_traditional,
-    execute_traditional_traced, execute_traditional_with,
-};
+pub use executor::{execute_tagged, execute_traditional};
 pub use join_order::{greedy_join_tree, local_survival};
 pub use planners::PlannerKind;
 pub use query::{JoinCond, Query};

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use basilisk_catalog::{Catalog, Estimator};
 use basilisk_core::{TagMapBuilder, TagMapStrategy};
-use basilisk_exec::{project_in, IdxRelation, TableSet};
+use basilisk_exec::{project_in, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{ColumnRef, PredicateTree};
 use basilisk_sched::WorkerPool;
 use basilisk_storage::Column;
@@ -14,7 +14,7 @@ use basilisk_types::{ArenaStats, BasiliskError, MaskArena, Result, Tracer};
 
 use crate::aplan::APlan;
 use crate::cost::CostModel;
-use crate::executor::{execute_tagged_traced, execute_traditional_traced};
+use crate::executor::{execute_tagged, execute_traditional};
 use crate::join_order::greedy_join_tree;
 use crate::planners::{plan as run_planner, PlannedQuery, PlannerInput, PlannerKind};
 use crate::query::Query;
@@ -198,8 +198,8 @@ impl ExecContext {
 /// [`Self::workers`] workers (default: the `BASILISK_THREADS`
 /// environment variable, else the machine's available parallelism),
 /// each with a private arena. With more than one worker, `execute`
-/// runs the plan interpreters in morsel-parallel mode: filters evaluate
-/// per-morsel on the workers and stitch, joins probe partitioned.
+/// hands the plan walker an `ExecCtx` with `pool: Some`: filters
+/// evaluate per-morsel on the workers and stitch, joins probe partitioned.
 /// `workers == 1` — or any relation smaller than one morsel — takes
 /// today's serial path, bit for bit; parallel output is pinned equal to
 /// serial output by the differential suite.
@@ -287,8 +287,8 @@ impl QuerySession {
     }
 
     /// Override the worker count (see the struct docs). `1` disables
-    /// parallel execution entirely — the serial interpreters run,
-    /// untouched. Replaces the worker pool, so call before executing.
+    /// parallel execution entirely (`ExecCtx { pool: None }`).
+    /// Replaces the worker pool, so call before executing.
     pub fn with_workers(mut self, workers: usize) -> Self {
         let rows = self.ctx.pool.morsel_rows();
         self.ctx.pool = Arc::new(WorkerPool::new(workers).with_morsel_rows(rows));
@@ -427,8 +427,8 @@ impl QuerySession {
     /// when `Some`, every plan operator records a span (nested to mirror
     /// the plan tree) with row counts, morsel fan-out, parallel-region id
     /// and per-atom evaluation profiles — see
-    /// [`execute_tagged_traced`](crate::execute_tagged_traced). Output is
-    /// bit-for-bit identical to the untraced run.
+    /// [`execute_tagged`](crate::execute_tagged). Output is bit-for-bit
+    /// identical to the untraced run.
     pub fn execute_traced(&self, plan: &Plan, tracer: Option<&Tracer>) -> Result<QueryOutput> {
         // Sweep result columns deferred by earlier executions: once the
         // caller has dropped those outputs, their buffers return to the
@@ -436,37 +436,25 @@ impl QuerySession {
         self.ctx.sweep();
         let arena = &self.ctx.arena;
         let pool = &*self.ctx.pool;
-        let pool_opt = (pool.workers() > 1).then_some(pool);
+        let cx = ExecCtx {
+            arena,
+            pool: (pool.workers() > 1).then_some(pool),
+            tracer,
+        };
         let rows = match plan {
-            Plan::JoinOnly(aplan) => {
-                // Predicate-free: use the traditional executor with a
-                // dummy tree (never consulted — the plan has no filters).
-                let dummy = PredicateTree::build(&basilisk_expr::col("·", "·").is_null());
-                execute_traditional_traced(aplan, &self.tables, &dummy, arena, pool_opt, tracer)?
-            }
+            Plan::JoinOnly(aplan) => execute_traditional(&cx, aplan, &self.tables, None)?,
             Plan::WithPredicate(p) => {
                 let tree = self
                     .tree
                     .as_ref()
                     .ok_or_else(|| BasiliskError::Plan("plan/session mismatch".into()))?;
                 match p {
-                    PlannedQuery::Tagged { ann, .. } => execute_tagged_traced(
-                        &ann.plan,
-                        &ann.projection,
-                        &self.tables,
-                        tree,
-                        arena,
-                        pool_opt,
-                        tracer,
-                    )?,
-                    PlannedQuery::Traditional { aplan, .. } => execute_traditional_traced(
-                        aplan,
-                        &self.tables,
-                        tree,
-                        arena,
-                        pool_opt,
-                        tracer,
-                    )?,
+                    PlannedQuery::Tagged { ann, .. } => {
+                        execute_tagged(&cx, &ann.plan, &ann.projection, &self.tables, tree)?
+                    }
+                    PlannedQuery::Traditional { aplan, .. } => {
+                        execute_traditional(&cx, aplan, &self.tables, Some(tree))?
+                    }
                 }
             }
         };

@@ -211,7 +211,7 @@ thread_local! {
 
 /// The id of the parallel region most recently fanned out by the calling
 /// thread (0 before any). Region ids are pool-global, monotonically
-/// increasing and never reused; the plan interpreters stamp them onto
+/// increasing and never reused; the plan walker stamps them onto
 /// operator trace spans right after a parallel operator returns.
 pub fn last_region_id() -> u64 {
     LAST_REGION_ID.with(|c| c.get())
@@ -790,10 +790,9 @@ impl WorkerPool {
     }
 
     /// Run two *different* jobs as one two-task region and return both
-    /// results, each tagged with its producing worker id — how plan
-    /// interpreters ship a pair of independent subtrees (both inputs of a
-    /// join; a build side overlapping probe-side preparation) over the
-    /// same pool that runs their morsels.
+    /// results, each tagged with its producing worker id — how the
+    /// tagged join overlaps its build side with probe-side preparation
+    /// over the same pool that runs its morsels.
     ///
     /// Ordering contract: with one worker the pair runs inline, `fa`
     /// strictly before `fb` — exactly the serial engine. In a fanned

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use basilisk_exec::TableSet;
 use basilisk_expr::PredicateTree;
 use basilisk_plan::{Plan, PlannerKind, Query};
-use basilisk_types::Value;
+use basilisk_types::{Truth, Value};
 
 /// One cached statement: everything needed to go from bound parameter
 /// values to execution without touching the parser or a planner.
@@ -36,6 +36,9 @@ pub struct PreparedStatement {
     /// The predicate tree the cached plan's `ExprId`s address — the
     /// congruence reference for rebinding.
     pub(crate) tree: Option<PredicateTree>,
+    /// `implication_signature` of `tree`: the atom implications the
+    /// plan's tag maps were built under. A binding must reproduce it.
+    pub(crate) implications: Vec<Option<Truth>>,
     pub(crate) param_count: usize,
     pub(crate) plan: Plan,
     pub(crate) planner: PlannerKind,

@@ -24,10 +24,12 @@
 //!   allocates nothing once each context's pools are warm.
 //! * **The plan cache** keys on normalized statement text (literals →
 //!   `?n`); hits bind fresh literal values into the cached template and
-//!   re-drive the cached plan — zero parse, zero plan. A congruence
-//!   guard re-plans the rare binding whose literal values change the
+//!   re-drive the cached plan — zero parse, zero plan. Two guards
+//!   re-plan the rare binding whose literal values change the
 //!   predicate DAG itself (see
-//!   [`PredicateTree::congruent_modulo_values`]).
+//!   [`PredicateTree::congruent_modulo_values`]) or the implications
+//!   between its atoms that the plan's tag maps were built under
+//!   ([`implication_signature`]).
 //!
 //! [`Server::submit`] is the one public entry point (a [`Request`] in, a
 //! [`Response`] or typed [`ServeError`] out — what the wire layer
@@ -38,6 +40,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use basilisk_catalog::{Catalog, Estimator};
+use basilisk_expr::subsume::implication_signature;
 use basilisk_expr::{ColumnRef, PredicateTree};
 use basilisk_plan::{
     ExecContext, Plan, PlanTimings, PlannerKind, Query, QueryOutput, QuerySession,
@@ -563,6 +566,10 @@ impl Server {
             key,
             query: session.query().clone(),
             tree: session.tree().cloned(),
+            implications: session
+                .tree()
+                .map(implication_signature)
+                .unwrap_or_default(),
             param_count,
             chosen: plan.chosen_planner(),
             plan,
@@ -597,11 +604,15 @@ impl Server {
                 self.stats.error();
             })?);
         }
-        // Two reasons the cached plan may not be reusable for this
-        // binding, both rare and both re-planned on the spot:
+        // Three reasons the cached plan may not be reusable for this
+        // binding, all rare and all re-planned on the spot:
         //  * congruence — the plan addresses the prepare-time predicate
         //    DAG by node id, and a binding whose values collapse or
         //    split nodes changes the DAG;
+        //  * implications — the plan's tag maps bake in which atom
+        //    outcomes imply which (`year > 2011 ⇒ year > 1986`), and a
+        //    binding whose literals order differently implies
+        //    differently;
         //  * NULL upgrade — a NULL bound into a statement planned
         //    two-valued makes its atom evaluate to unknown on every
         //    row, which only three-valued tag maps handle (the re-plan
@@ -609,7 +620,9 @@ impl Server {
         let bound_tree = query.predicate.as_ref().map(PredicateTree::build);
         let congruent = match (&stmt.tree, &bound_tree) {
             (None, None) => true,
-            (Some(a), Some(b)) => a.congruent_modulo_values(b),
+            (Some(a), Some(b)) => {
+                a.congruent_modulo_values(b) && implication_signature(b) == stmt.implications
+            }
             _ => false,
         };
         let null_upgrade = !stmt.three_valued && params.iter().any(|v| matches!(v, Value::Null));
