@@ -24,7 +24,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use basilisk::{Catalog, PlannerKind, Query, QuerySession, TableBuilder};
+use basilisk::{Catalog, PlannerKind, Query, QuerySession, Table, TableBuilder};
 use basilisk_bench::workload::{int_column_with_nulls, provider, wide_disjunction, ROWS};
 use basilisk_bench::Args;
 use basilisk_expr::eval::{
@@ -32,7 +32,7 @@ use basilisk_expr::eval::{
 };
 use basilisk_expr::{and, col, or, Atom, CmpOp, ColumnRef, PredicateTree};
 use basilisk_storage::Column;
-use basilisk_types::{Bitmap, DataType, MaskArena, Morsel, Truth, TruthMask, Value};
+use basilisk_types::{Bitmap, DataType, MaskArena, Morsel, Tracer, Truth, TruthMask, Value};
 
 /// Median wall-clock nanoseconds of `f` over `samples` runs (one warmup).
 fn time_ns(samples: usize, mut f: impl FnMut() -> usize) -> f64 {
@@ -233,11 +233,18 @@ fn main() {
     let scan_n = scan_rows as i64;
     let col_a = Column::from_ints((0..scan_n).collect());
     let col_b = Column::from_ints((0..scan_n).map(|i| i % 977).collect());
-    let scan_tree = PredicateTree::build(&or(vec![
+    let scan_pred = or(vec![
         col("g", "a").lt(scan_n / 64),
         col("g", "a").ge(scan_n - scan_n / 64),
         col("g", "b").eq(-1i64),
-    ]));
+    ]);
+    let scan_tree = PredicateTree::build(&scan_pred);
+    let scan_table = Table::from_columns(
+        "g",
+        vec![("a".into(), col_a.clone()), ("b".into(), col_b.clone())],
+    )
+    .and_then(|t| t.encode())
+    .unwrap();
     let scan_root = scan_tree.root();
     let scan_sel = Bitmap::all_set(scan_rows);
     let scan_morsels = Morsel::split(scan_rows, 4096);
@@ -255,7 +262,8 @@ fn main() {
         let mut n = 0usize;
         for &m in scan_morsels_ref {
             let mask =
-                eval_node_mask_morsel(&scan_tree, scan_root, prov, &scan_sel, arena, m).unwrap();
+                eval_node_mask_morsel(&scan_tree, scan_root, prov, &scan_sel, arena, m, None)
+                    .unwrap();
             n += mask.count_true();
             arena.recycle_mask(mask);
         }
@@ -280,6 +288,38 @@ fn main() {
     println!(
         "    zone maps: {} atom-morsels skipped, {} scanned",
         zs.zone_skipped_morsels, zs.zone_scanned_morsels
+    );
+
+    // --- the same scan as a statement: traced vs untraced ----------------
+    // The selective disjunction above over the same 1M rows, stored
+    // encoded and executed as a planned statement on one serial session
+    // (plan built once). A traced execution tallies the atoms of the one
+    // evaluation the untraced run also performs and records spans, so
+    // the ratio is what tracing itself costs; a tracer that re-evaluated
+    // atoms beside the real pass (on the decoded path, bypassing zone
+    // maps) would read several times over. Gated as a ceiling
+    // (`trace_encoded_overhead_max`).
+    let mut scan_cat = Catalog::new();
+    scan_cat.add_table(scan_table).unwrap();
+    let scan_query = Query::new(vec![("g".into(), "g".into())])
+        .filter(scan_pred)
+        .select(vec![ColumnRef::new("g", "a")]);
+    let scan_session = QuerySession::new(&scan_cat, scan_query)
+        .unwrap()
+        .with_workers(1);
+    let scan_plan = scan_session.plan(PlannerKind::TCombined).unwrap();
+    let run_statement = |tracer: Option<&Tracer>| {
+        let out = scan_session.execute_traced(&scan_plan, tracer).unwrap();
+        assert_eq!(out.count(), scan_expected, "selective statement answer");
+        out.count()
+    };
+    report.push(
+        "scan/statement_untraced",
+        time_ns(samples, || run_statement(None)),
+    );
+    report.push(
+        "scan/statement_traced",
+        time_ns(samples, || run_statement(Some(&Tracer::new()))),
     );
 
     // --- join-output gather: fresh scalar vs pooled word-parallel -------
@@ -740,6 +780,8 @@ fn main() {
         report.get("net/loopback_8clients") / report.get("serve/in_process_baseline");
     let trace_overhead =
         report.get("serve/tracing_disabled") / report.get("serve/untraced_baseline");
+    let trace_encoded_overhead =
+        report.get("scan/statement_traced") / report.get("scan/statement_untraced");
     let compressed_vs_decoded =
         report.get("scan/decoded_selective") / report.get("scan/encoded_selective");
     let or_fold_gelems = ROWS as f64 / report.get("or_fold/vectorized"); // elems/ns = Gelems/s
@@ -756,6 +798,7 @@ fn main() {
         ("net_overhead".to_string(), net_overhead),
         ("net_p99_micros".to_string(), net_p99_micros),
         ("trace_overhead".to_string(), trace_overhead),
+        ("trace_encoded_overhead".to_string(), trace_encoded_overhead),
         ("or_fold_gelems_per_s".to_string(), or_fold_gelems),
     ];
     println!(
@@ -780,6 +823,9 @@ fn main() {
     println!("  net_p99_micros       {net_p99_micros:.0} us (client-observed wire p99)");
     println!(
         "  trace_overhead       {trace_overhead:.3}x (default observability vs disabled slow log, untraced)"
+    );
+    println!(
+        "  trace_encoded_overhead {trace_encoded_overhead:.2}x (traced vs untraced encoded scan statement)"
     );
 
     std::fs::write(&out_path, report.to_json(&derived)).expect("write BENCH_eval.json");
@@ -847,10 +893,11 @@ fn main() {
         ("net_overhead", net_overhead),
         ("net_p99_micros", net_p99_micros),
         ("trace_overhead", trace_overhead),
+        ("trace_encoded_overhead", trace_encoded_overhead),
     ] {
-        // trace_overhead is serial on one worker thread, so it measures
+        // Both trace ratios are serial on one thread, so they measure
         // the code on any host; only the wire metrics need 4 cores.
-        if cores < 4 && key != "trace_overhead" {
+        if cores < 4 && !key.starts_with("trace_") {
             println!("gate skipped: {key} = {measured:.2} (host has {cores} core(s), need 4)");
             continue;
         }

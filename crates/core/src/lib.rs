@@ -36,7 +36,7 @@ mod tag;
 mod tagmap;
 
 pub use generalize::{generalize_tag, generalize_tag_closed, root_truth};
-pub use ops::{filter_atom_profiles, tagged_filter, tagged_join, tagged_select_final};
+pub use ops::{tagged_filter, tagged_join, tagged_select_final};
 pub use relation::TaggedRelation;
 pub use tag::Tag;
 pub use tagmap::{

@@ -1,7 +1,6 @@
 //! The tagged operators (§2.2–§2.5).
 
 use basilisk_exec::{combine, ExecCtx, FxHashMap, IdxRelation, JoinTable, RelProvider, TableSet};
-use basilisk_expr::eval::{profile_atoms, AtomProfile};
 use basilisk_expr::{ColumnRef, PredicateTree};
 use basilisk_storage::Column;
 use basilisk_types::{BasiliskError, Bitmap, MaskArena, Result};
@@ -134,36 +133,6 @@ fn recycle_slices(arena: &MaskArena, slices: Vec<(crate::Tag, Bitmap)>) {
     for (_, bm) in slices {
         arena.recycle_bitmap(bm);
     }
-}
-
-/// Profile the atoms a [`tagged_filter`] over `map` evaluates: rebuild
-/// the union-of-evaluated-slices selection exactly as the filter does
-/// (pass-through and dead entries excluded — those slices are the
-/// short-circuited lanes) and run
-/// [`profile_atoms`](basilisk_expr::eval::profile_atoms) on the filter's
-/// subtree. A tracing-only path that re-evaluates the atoms; callers
-/// gate it on the request being traced.
-pub fn filter_atom_profiles(
-    tables: &TableSet,
-    input: &TaggedRelation,
-    tree: &PredicateTree,
-    map: &FilterTagMap,
-    arena: &MaskArena,
-) -> Result<Vec<AtomProfile>> {
-    let relation = input.relation();
-    let mut union = arena.bitmap(relation.len());
-    for (tag, bitmap) in input.slices() {
-        match map.entry_for(tag) {
-            Some(e) if e.pos.is_some() || e.neg.is_some() || e.unk.is_some() => {
-                union.union_with(bitmap);
-            }
-            _ => {}
-        }
-    }
-    let provider = RelProvider::new(tables, relation);
-    let out = profile_atoms(tree, map.node, &provider, &union, arena);
-    arena.recycle_bitmap(union);
-    out
 }
 
 /// Tagged hash join (§2.3, implementation §2.5.3).
@@ -656,27 +625,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(cols[0].1.len(), 4);
-    }
-
-    /// The atom profiler sees exactly the union a tagged filter would
-    /// evaluate, and leaves no arena buffer behind.
-    #[test]
-    fn filter_atom_profiles_cover_the_evaluated_union() {
-        let ts = tset();
-        let tree = PredicateTree::build(&query1());
-        let b = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
-        let p1 = find(&tree, "t.year > 2000");
-        let base = tagged("t", 7);
-        let m = b.filter_map(p1, &[Tag::empty()]);
-        let a = arena();
-        let profiles = filter_atom_profiles(&ts, &base, &tree, &m, &a).unwrap();
-        assert_eq!(profiles.len(), 1, "the filter subtree is one atom");
-        assert_eq!(profiles[0].atom, "t.year > 2000");
-        assert_eq!(profiles[0].lanes_evaluated, 7, "base slice is full");
-        assert_eq!(profiles[0].lanes_short_circuited, 0);
-        assert_eq!(profiles[0].true_count, 3, "2008, 2001, 2009");
-        assert_eq!(profiles[0].unknown_count, 0);
-        assert_eq!(a.outstanding(), 0, "profiling is scratch-neutral");
     }
 
     /// §2.5.2: the filter's underlying relation is untouched; only tags

@@ -18,6 +18,6 @@ mod par;
 mod relation;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, JoinTable};
-pub use ops::{combine, filter, hash_join, project_in, relation_atom_profiles, union_all_dedup};
+pub use ops::{combine, filter, hash_join, project_in, union_all_dedup};
 pub use par::ExecCtx;
 pub use relation::{join_key, IdxRelation, RelProvider, TableSet};

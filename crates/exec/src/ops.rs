@@ -2,7 +2,6 @@
 
 use std::sync::Arc;
 
-use basilisk_expr::eval::{profile_atoms, AtomProfile};
 use basilisk_expr::{ColumnRef, ExprId, PredicateTree};
 use basilisk_storage::Column;
 use basilisk_types::{BasiliskError, MaskArena, Result};
@@ -39,25 +38,6 @@ pub fn filter(
     let out = relation.select_bitmap_in(mask.trues(), arena);
     arena.recycle_mask(mask);
     Ok(out)
-}
-
-/// Profile the atoms a [`filter`] over `node` evaluates. The traditional
-/// path evaluates every tuple of the relation (an all-ones selection),
-/// so these profiles report zero short-circuited lanes — the contrast
-/// tagged-execution traces draw against. A tracing-only path that
-/// re-evaluates the atoms; callers gate it on the request being traced.
-pub fn relation_atom_profiles(
-    tables: &TableSet,
-    relation: &IdxRelation,
-    tree: &PredicateTree,
-    node: ExprId,
-    arena: &MaskArena,
-) -> Result<Vec<AtomProfile>> {
-    let provider = RelProvider::new(tables, relation);
-    let sel = arena.bitmap_ones(relation.len());
-    let out = profile_atoms(tree, node, &provider, &sel, arena);
-    arena.recycle_bitmap(sel);
-    out
 }
 
 /// Hash equi-join of two index relations on `left_key = right_key`,
@@ -348,27 +328,6 @@ mod tests {
         let arena = MaskArena::new();
         let out = filter(&ExecCtx::serial(&arena), &ts, &rel, &tree, tree.root()).unwrap();
         assert_eq!(out.len(), 3); // 2008, 2001, 1972
-    }
-
-    #[test]
-    fn relation_atom_profiles_cover_every_tuple() {
-        let ts = tset();
-        let rel = base("t", 5);
-        let e = or(vec![
-            col("t", "year").gt(2000i64),
-            col("t", "year").lt(1980i64),
-        ]);
-        let tree = PredicateTree::build(&e);
-        let arena = MaskArena::new();
-        let profiles = relation_atom_profiles(&ts, &rel, &tree, tree.root(), &arena).unwrap();
-        assert_eq!(profiles.len(), 2);
-        for p in &profiles {
-            assert_eq!(p.lanes_evaluated, 5, "traditional path evaluates all");
-            assert_eq!(p.lanes_short_circuited, 0);
-        }
-        assert_eq!(profiles[0].true_count, 2, "2008, 2001");
-        assert_eq!(profiles[1].true_count, 1, "1972");
-        assert_eq!(arena.outstanding(), 0);
     }
 
     #[test]

@@ -27,12 +27,17 @@
 //! The context holds the `!Sync` tracer, so it cannot be captured by a
 //! task closure: a task body that needs a context builds
 //! [`ExecCtx::serial`] over its worker arena, which makes "tasks never
-//! re-enter the pool" (ownership rule 4) a property of the types.
+//! re-enter the pool" (ownership rule 4) a property of the types. What
+//! tasks may share is a `Sync` [`EvalTally`]: a traced evaluation's
+//! morsels add their per-atom counts into it, and the coordinator turns
+//! it into `atom` spans once the region has retired.
 
-use basilisk_expr::eval::{eval_node_mask, eval_node_mask_morsel, ColumnProvider};
+use std::time::{Duration, Instant};
+
+use basilisk_expr::eval::{eval_node_mask_morsel, ColumnProvider, EvalTally};
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_sched::WorkerPool;
-use basilisk_types::{Bitmap, MaskArena, Result, Tracer, TruthMask};
+use basilisk_types::{Bitmap, MaskArena, Morsel, Result, Tracer, TruthMask};
 
 use crate::hash::JoinTable;
 use crate::relation::join_key;
@@ -78,6 +83,12 @@ impl<'a> ExecCtx<'a> {
     /// from worker threads — columns are gathered once by whichever
     /// worker asks first and shared by the rest, instead of being
     /// dense-prefetched on the coordinator.
+    ///
+    /// This is the one place operators evaluate predicates, so it is
+    /// also the one place `atom` spans come from: a traced evaluation
+    /// hands an [`EvalTally`] to the kernel (every morsel task adds into
+    /// it through `&`; the tracer never leaves this thread) and then
+    /// reports it under the innermost open span (`report_atoms`).
     pub fn eval_mask(
         &self,
         tree: &PredicateTree,
@@ -85,22 +96,33 @@ impl<'a> ExecCtx<'a> {
         provider: &(impl ColumnProvider + Sync),
         sel: &Bitmap,
     ) -> Result<TruthMask> {
+        let traced = self
+            .tracer
+            .map(|t| (t, EvalTally::new(tree), Instant::now()));
+        let tally = traced.as_ref().map(|(_, tally, _)| tally);
         let n = sel.len();
-        let Some(pool) = self.fan_out(n) else {
-            return eval_node_mask(tree, id, provider, sel, self.arena);
-        };
-        let morsels = pool.morsels(n);
-        let results = pool.run(
-            morsels.clone(),
-            |w, m| eval_node_mask_morsel(tree, id, provider, sel, w.arena, m),
-            |worker_arena, mask| worker_arena.recycle_mask(mask),
-        )?;
-        let mut out = self.arena.mask(n);
-        for (m, (worker, mask)) in morsels.into_iter().zip(results) {
-            out.stitch(m, &mask);
-            pool.with_arena(worker, |a| a.recycle_mask(mask));
+        let out = (|| {
+            let Some(pool) = self.fan_out(n) else {
+                let all = Morsel::full(n);
+                return eval_node_mask_morsel(tree, id, provider, sel, self.arena, all, tally);
+            };
+            let morsels = pool.morsels(n);
+            let results = pool.run(
+                morsels.clone(),
+                |w, m| eval_node_mask_morsel(tree, id, provider, sel, w.arena, m, tally),
+                |worker_arena, mask| worker_arena.recycle_mask(mask),
+            )?;
+            let mut out = self.arena.mask(n);
+            for (m, (worker, mask)) in morsels.into_iter().zip(results) {
+                out.stitch(m, &mask);
+                pool.with_arena(worker, |a| a.recycle_mask(mask));
+            }
+            Ok(out)
+        })();
+        if let Some((t, tally, start)) = &traced {
+            report_atoms(t, tree, id, n, tally, *start);
         }
-        Ok(out)
+        out
     }
 
     /// Run a join probe over `0..probe_len` and return its `N` parallel
@@ -155,6 +177,52 @@ fn recycle_lists<const N: usize>(arena: &MaskArena, lists: [Vec<u32>; N]) {
     }
 }
 
+/// Report a tallied evaluation of subtree `id` over `lanes` lanes, begun
+/// at `start`, under the innermost open span (the evaluating operator):
+/// one closed `atom` child per atom, in the order the atoms first appear
+/// in the predicate, laid end to end from `start` — durations scaled
+/// down when a fanned-out evaluation's workers together spent longer
+/// than its wall time, so children stay inside their parent — plus the
+/// summed zone-map verdicts as the parent's `zone_skips`/`zone_scans`.
+/// `lanes_short_circuited` counts every lane the atom was not evaluated
+/// on: outside the selection, or in a morsel a fold had saturated.
+fn report_atoms(
+    t: &Tracer,
+    tree: &PredicateTree,
+    id: ExprId,
+    lanes: usize,
+    tally: &EvalTally,
+    start: Instant,
+) {
+    let atoms: Vec<_> = tree
+        .atoms_under(id)
+        .into_iter()
+        .map(|a| (a, tally.atom(a)))
+        .collect();
+    let wall = start.elapsed().as_nanos();
+    let spent = atoms.iter().map(|(_, c)| u128::from(c.nanos)).sum::<u128>();
+    let (mut at, mut zones) = (start, [0, 0]);
+    for (a, c) in atoms {
+        let nanos = u128::from(c.nanos) * wall / spent.max(wall).max(1);
+        let took = Duration::from_nanos(nanos as u64);
+        let s = t.record("atom", at, took);
+        at += took;
+        t.attr(s, "atom", tree.display(a));
+        t.attr(s, "lanes_evaluated", c.lanes_evaluated);
+        t.attr(
+            s,
+            "lanes_short_circuited",
+            (lanes as u64).saturating_sub(c.lanes_evaluated),
+        );
+        t.attr(s, "true_count", c.true_count);
+        t.attr(s, "unknown_count", c.unknown_count);
+        zones = [zones[0] + c.zone_skips, zones[1] + c.zone_scans];
+    }
+    let parent = t.current();
+    t.attr(parent, "zone_skips", zones[0]);
+    t.attr(parent, "zone_scans", zones[1]);
+}
+
 /// The probe half of a hash join over one contiguous range of probe
 /// positions: for each position `j` in `range`, append every matching
 /// `(build_row, j)` pair. Both the serial join and each parallel probe
@@ -181,6 +249,7 @@ pub(crate) fn probe_range(
 mod tests {
     use super::*;
     use crate::relation::{IdxRelation, RelProvider, TableSet};
+    use basilisk_expr::eval::eval_node_mask;
     use basilisk_expr::{and, col, not, or};
     use basilisk_storage::TableBuilder;
     use basilisk_types::{DataType, Value};

@@ -28,12 +28,22 @@
 //! referenced column, aligned with the rows being evaluated — which is how
 //! both the base-table path (bitmap reads) and the intermediate path
 //! (index-tuple gathers, §2.5.1) plug in.
+//!
+//! An evaluation can also explain itself: handed an [`EvalTally`], the
+//! mask path records per atom what it actually did — lanes reached, their
+//! outcomes, time, zone-map verdicts — as it runs. There is no second
+//! evaluator: atoms a fold saturated past, and morsels a zone map
+//! decided, are reported exactly as the engine handled them.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use basilisk_storage::{Column, ColumnData, EncCmpOp, EncodedColumn};
-use basilisk_types::{BasiliskError, Bitmap, MaskArena, Morsel, Result, Truth, TruthMask, Value};
+use basilisk_types::{
+    ArenaStats, BasiliskError, Bitmap, MaskArena, Morsel, Result, Truth, TruthMask, Value,
+};
 
 use crate::atom::{Atom, CmpOp, ColumnRef};
 use crate::like::like_match;
@@ -175,7 +185,8 @@ pub fn eval_node_mask(
     sel: &Bitmap,
     arena: &MaskArena,
 ) -> Result<TruthMask> {
-    eval_node_mask_morsel(tree, id, provider, sel, arena, Morsel::full(sel.len()))
+    let all = Morsel::full(sel.len());
+    eval_node_mask_morsel(tree, id, provider, sel, arena, all, None)
 }
 
 /// Morsel-granular [`eval_node_mask`]: evaluate only the rows of
@@ -188,7 +199,9 @@ pub fn eval_node_mask(
 /// concatenation over disjoint ranges.
 ///
 /// The serial path *is* this function over [`Morsel::full`], so the two
-/// agree bit-for-bit by construction.
+/// agree bit-for-bit by construction. With `tally: Some`, every atom
+/// this morsel reaches adds what it did to the tally (see
+/// [`EvalTally`]); `None` costs one `Option` check per atom.
 pub fn eval_node_mask_morsel(
     tree: &PredicateTree,
     id: ExprId,
@@ -196,43 +209,115 @@ pub fn eval_node_mask_morsel(
     sel: &Bitmap,
     arena: &MaskArena,
     morsel: Morsel,
+    tally: Option<&EvalTally>,
 ) -> Result<TruthMask> {
+    let sel_words = &sel.words()[morsel.word_range()];
+    let eval = |c| eval_node_mask_morsel(tree, c, provider, sel, arena, morsel, tally);
     match tree.kind(id) {
         NodeKind::Atom(atom) => {
-            if let Some(enc) = provider.fetch_encoded(atom.column()) {
-                if let Some(mask) = eval_atom_encoded(atom, &enc, sel, arena, morsel) {
-                    return Ok(mask);
+            let traced = tally.map(|tally| (tally, Instant::now(), arena.stats()));
+            let enc = provider.fetch_encoded(atom.column());
+            let mask = match enc.and_then(|e| eval_atom_encoded(atom, &e, sel, arena, morsel)) {
+                Some(mask) => mask,
+                None => {
+                    let column = provider.fetch_at(atom.column(), sel)?;
+                    eval_atom_mask_morsel(atom, &column, sel, arena, morsel)?
                 }
+            };
+            if let Some((tally, start, before)) = traced {
+                tally.add(id, &mask, sel_words, start.elapsed(), before, arena.stats());
             }
-            let column = provider.fetch_at(atom.column(), sel)?;
-            eval_atom_mask_morsel(atom, &column, sel, arena, morsel)
+            Ok(mask)
         }
         NodeKind::Not(c) => {
-            let mut m = eval_node_mask_morsel(tree, *c, provider, sel, arena, morsel)?;
+            let mut m = eval(*c)?;
             m.negate();
-            m.restrict_to_words(&sel.words()[morsel.word_range()]);
+            m.restrict_to_words(sel_words);
             Ok(m)
         }
-        NodeKind::And(cs) => fold_children(
-            tree,
+        NodeKind::And(cs) => fold(
             cs,
-            provider,
-            sel,
+            eval,
             arena,
-            morsel,
+            sel_words,
             TruthMask::and_with,
             and_saturated,
         ),
-        NodeKind::Or(cs) => fold_children(
-            tree,
-            cs,
-            provider,
-            sel,
-            arena,
-            morsel,
-            TruthMask::or_with,
-            or_saturated,
-        ),
+        NodeKind::Or(cs) => fold(cs, eval, arena, sel_words, TruthMask::or_with, or_saturated),
+    }
+}
+
+/// What one evaluation did, per atom, filled in while it runs: pass it
+/// to [`eval_node_mask_morsel`] and each atom adds, for every morsel the
+/// evaluation actually reaches it on, the morsel's selected lanes, the
+/// `True` and `Unknown` lanes of its mask, the time it took (column fetch
+/// included) and whether a zone map decided the morsel or it was
+/// scanned. Lanes a fold saturated past are never added.
+///
+/// One slot per node of the tree, relaxed atomics: the morsel tasks of a
+/// fanned-out evaluation all add into one tally through `&`, and it is
+/// read once their region has retired, which orders every add first.
+pub struct EvalTally {
+    slots: Vec<[AtomicU64; 6]>,
+}
+
+/// One atom's share of an [`EvalTally`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AtomCounts {
+    pub lanes_evaluated: u64,
+    pub true_count: u64,
+    pub unknown_count: u64,
+    /// Summed over morsels — on several workers, more than wall time.
+    pub nanos: u64,
+    /// Atom-morsels a zone map decided, and atom-morsels it scanned.
+    pub zone_skips: u64,
+    pub zone_scans: u64,
+}
+
+impl EvalTally {
+    /// An empty tally for evaluations over `tree`.
+    pub fn new(tree: &PredicateTree) -> EvalTally {
+        EvalTally {
+            slots: (0..tree.len()).map(|_| Default::default()).collect(),
+        }
+    }
+
+    /// Add one atom-morsel; `before`/`after` bracket it on the arena
+    /// that evaluated it, which counts its zone-map verdict.
+    fn add(
+        &self,
+        id: ExprId,
+        mask: &TruthMask,
+        sel_words: &[u64],
+        elapsed: Duration,
+        before: ArenaStats,
+        after: ArenaStats,
+    ) {
+        let lanes: u32 = sel_words.iter().map(|w| w.count_ones()).sum();
+        for (counter, v) in self.slots[id.index()].iter().zip([
+            u64::from(lanes),
+            mask.count_true() as u64,
+            mask.count_unknown() as u64,
+            elapsed.as_nanos() as u64,
+            after.zone_skipped_morsels - before.zone_skipped_morsels,
+            after.zone_scanned_morsels - before.zone_scanned_morsels,
+        ]) {
+            counter.fetch_add(v, Relaxed);
+        }
+    }
+
+    /// What atom `id` has added so far.
+    pub fn atom(&self, id: ExprId) -> AtomCounts {
+        let [lanes_evaluated, true_count, unknown_count, nanos, zone_skips, zone_scans] =
+            self.slots[id.index()].each_ref().map(|c| c.load(Relaxed));
+        AtomCounts {
+            lanes_evaluated,
+            true_count,
+            unknown_count,
+            nanos,
+            zone_skips,
+            zone_scans,
+        }
     }
 }
 
@@ -263,24 +348,20 @@ fn and_saturated(acc: &TruthMask, sel_words: &[u64]) -> bool {
 /// cannot change the result and are skipped. Combined with zone-map
 /// pruning this is what turns a proven morsel into zero further work for
 /// the rest of a disjunction's arms.
-#[allow(clippy::too_many_arguments)]
-fn fold_children(
-    tree: &PredicateTree,
+fn fold(
     children: &[ExprId],
-    provider: &impl ColumnProvider,
-    sel: &Bitmap,
+    eval: impl Fn(ExprId) -> Result<TruthMask>,
     arena: &MaskArena,
-    morsel: Morsel,
+    sel_words: &[u64],
     combine: impl Fn(&mut TruthMask, &TruthMask),
     saturated: impl Fn(&TruthMask, &[u64]) -> bool,
 ) -> Result<TruthMask> {
-    let sel_words = &sel.words()[morsel.word_range()];
-    let mut acc = eval_node_mask_morsel(tree, children[0], provider, sel, arena, morsel)?;
+    let mut acc = eval(children[0])?;
     for &c in &children[1..] {
         if saturated(&acc, sel_words) {
             break;
         }
-        match eval_node_mask_morsel(tree, c, provider, sel, arena, morsel) {
+        match eval(c) {
             Ok(m) => {
                 combine(&mut acc, &m);
                 arena.recycle_mask(m);
@@ -700,75 +781,6 @@ pub fn eval_atom(atom: &Atom, column: &Column) -> Result<Vec<Truth>> {
     }
 }
 
-/// How one atom behaved during a (re-)evaluation over a selection: how
-/// many lanes the engine actually looked at versus skipped, and what the
-/// looked-at lanes returned. Produced by [`profile_atoms`] for operator
-/// trace spans — the per-atom half of the in-process `EXPLAIN ANALYZE`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AtomProfile {
-    /// Display form of the atom (`t.year > 2000`).
-    pub atom: String,
-    /// Lanes the atom was evaluated on (the selection's population).
-    pub lanes_evaluated: u64,
-    /// Lanes outside the selection — rows the engine short-circuited
-    /// (already-resolved tags, pruned slices) before reaching this atom.
-    pub lanes_short_circuited: u64,
-    /// Evaluated lanes that came back `True`.
-    pub true_count: u64,
-    /// Evaluated lanes that came back `Unknown` (NULL-involved).
-    pub unknown_count: u64,
-}
-
-/// Profile every atom in the subtree rooted at `id` by evaluating each
-/// over `sel`, in tree order. A tracing-only path: it re-evaluates atoms
-/// (masks are checked out of `arena` and recycled before returning), so
-/// callers gate it on the request being traced.
-pub fn profile_atoms(
-    tree: &PredicateTree,
-    id: ExprId,
-    provider: &impl ColumnProvider,
-    sel: &Bitmap,
-    arena: &MaskArena,
-) -> Result<Vec<AtomProfile>> {
-    fn walk(
-        tree: &PredicateTree,
-        id: ExprId,
-        provider: &impl ColumnProvider,
-        sel: &Bitmap,
-        arena: &MaskArena,
-        out: &mut Vec<AtomProfile>,
-    ) -> Result<()> {
-        match tree.kind(id) {
-            NodeKind::Atom(atom) => {
-                let column = provider.fetch_at(atom.column(), sel)?;
-                let mask = eval_atom_mask(atom, &column, sel, arena)?;
-                let evaluated = sel.count_ones() as u64;
-                out.push(AtomProfile {
-                    atom: atom.to_string(),
-                    lanes_evaluated: evaluated,
-                    lanes_short_circuited: sel.len() as u64 - evaluated,
-                    // Unselected lanes come out False by construction, so
-                    // these counts cover exactly the evaluated lanes.
-                    true_count: mask.count_true() as u64,
-                    unknown_count: mask.count_unknown() as u64,
-                });
-                arena.recycle_mask(mask);
-                Ok(())
-            }
-            NodeKind::Not(c) => walk(tree, *c, provider, sel, arena, out),
-            NodeKind::And(cs) | NodeKind::Or(cs) => {
-                for &c in cs {
-                    walk(tree, c, provider, sel, arena, out)?;
-                }
-                Ok(())
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(tree, id, provider, sel, arena, &mut out)?;
-    Ok(out)
-}
-
 fn annotate(e: BasiliskError, col: &ColumnRef) -> BasiliskError {
     match e {
         BasiliskError::Type(m) => BasiliskError::Type(format!("{m} (column {col})")),
@@ -1042,38 +1054,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_atoms_counts_lanes_and_outcomes() {
-        let e = or(vec![col("t", "a").gt(5i64), col("t", "b").gt(5i64)]);
-        let tree = PredicateTree::build(&e);
-        let mut a = ColumnBuilder::new(DataType::Int);
-        let mut b = ColumnBuilder::new(DataType::Int);
-        for v in [Value::Int(9), Value::Null, Value::Int(1), Value::Int(7)] {
-            a.push(v).unwrap();
-        }
-        for v in [Value::Int(1), Value::Int(9), Value::Int(1), Value::Int(9)] {
-            b.push(v).unwrap();
-        }
-        let provider = MapProvider::new(4)
-            .with(ColumnRef::new("t", "a"), a.finish())
-            .with(ColumnRef::new("t", "b"), b.finish());
-        // Select rows 0..3 only; row 3 is short-circuited.
-        let sel = Bitmap::from_indices(4, 0..3);
-        let arena = MaskArena::new();
-        let profiles = profile_atoms(&tree, tree.root(), &provider, &sel, &arena).unwrap();
-        assert_eq!(profiles.len(), 2, "one profile per atom, in tree order");
-        let pa = &profiles[0];
-        assert_eq!(pa.atom, "t.a > 5");
-        assert_eq!(pa.lanes_evaluated, 3);
-        assert_eq!(pa.lanes_short_circuited, 1);
-        assert_eq!(pa.true_count, 1, "only row 0 (9 > 5) among selected");
-        assert_eq!(pa.unknown_count, 1, "row 1 is NULL");
-        let pb = &profiles[1];
-        assert_eq!(pb.atom, "t.b > 5");
-        assert_eq!((pb.true_count, pb.unknown_count), (1, 0));
-        assert_eq!(arena.outstanding(), 0, "profiling recycles its masks");
-    }
-
-    #[test]
     fn encoded_eval_matches_decoded_bit_for_bit() {
         // Mixed atom kinds over int + string columns with NULLs and a
         // ragged (non-multiple-of-64) length; the encoded provider must
@@ -1131,8 +1111,8 @@ mod tests {
         let arena = MaskArena::new();
         let mut trues = 0;
         for m in Morsel::split(n as usize, 1024) {
-            let mask =
-                eval_node_mask_morsel(&tree, tree.root(), &provider, &sel, &arena, m).unwrap();
+            let mask = eval_node_mask_morsel(&tree, tree.root(), &provider, &sel, &arena, m, None)
+                .unwrap();
             trues += mask.count_true();
             arena.recycle_mask(mask);
         }

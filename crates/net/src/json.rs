@@ -139,6 +139,7 @@ impl Json {
     /// Parse one JSON document; trailing non-whitespace is an error.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -182,7 +183,12 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// `pos` only ever advances over whole characters (ASCII structure, or
+/// one `char` of a string), so it always sits on a char boundary of
+/// `src` and slicing `src[pos..]` is O(1) — the parser is linear in the
+/// input.
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -363,11 +369,9 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // the encoding is already valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one character of the (already valid) &str.
+                    let c = self.src.get(self.pos..).and_then(|r| r.chars().next());
+                    let c = c.ok_or("invalid utf-8")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -510,5 +514,124 @@ mod tests {
         // Depth bomb hits the guard, not the stack.
         let bomb = "[".repeat(100_000);
         assert!(Json::parse(&bomb).is_err());
+    }
+
+    /// The string scanner as it was before it kept the `&str`: every
+    /// plain character re-validated the whole rest of the input as UTF-8
+    /// (quadratic in the input). Kept as the reference the linear
+    /// scanner is checked against.
+    fn reference_string(bytes: &[u8]) -> Result<String, String> {
+        let mut pos = 0;
+        let hex4 = |pos: &mut usize| -> Result<u32, String> {
+            let hex = bytes
+                .get(*pos..*pos + 4)
+                .ok_or("truncated \\u escape")
+                .and_then(|h| std::str::from_utf8(h).map_err(|_| "invalid \\u escape"))?;
+            *pos += 4;
+            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape".to_string())
+        };
+        if bytes.first() != Some(&b'"') {
+            return Err("expected '\"' at offset 0".into());
+        }
+        pos += 1;
+        let mut out = String::new();
+        loop {
+            match bytes.get(pos) {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => return Ok(out),
+                Some(b'\\') => {
+                    pos += 1;
+                    let simple = match bytes.get(pos) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{0008}',
+                        Some(b'f') => '\u{000c}',
+                        Some(b'u') => {
+                            pos += 1;
+                            let hi = hex4(&mut pos)?;
+                            out.push(if (0xD800..0xDC00).contains(&hi) {
+                                if !bytes[pos..].starts_with(b"\\u") {
+                                    return Err("unpaired surrogate".into());
+                                }
+                                pos += 2;
+                                let lo = hex4(&mut pos)?;
+                                if !(0xDC00..0xE000).contains(&lo) {
+                                    return Err("invalid low surrogate".into());
+                                }
+                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                char::from_u32(cp).ok_or("invalid code point")?
+                            } else {
+                                char::from_u32(hi).ok_or("unpaired surrogate")?
+                            });
+                            continue;
+                        }
+                        _ => return Err(format!("bad escape at offset {pos}")),
+                    };
+                    out.push(simple);
+                    pos += 1;
+                }
+                Some(_) => {
+                    let rest = std::str::from_utf8(&bytes[pos..]).map_err(|e| e.to_string())?;
+                    let c = rest.chars().next().unwrap();
+                    out.push(c);
+                    pos += c.len_utf8();
+                }
+            }
+        }
+    }
+
+    /// Random string bodies built from multi-byte characters, every
+    /// escape form, surrogate pairs and a sprinkle of malformed escapes:
+    /// the linear scanner agrees with the reference on every one (value
+    /// or error), and every well-formed value round-trips.
+    #[test]
+    fn string_scanner_matches_reference() {
+        const PIECES: &[&str] = &[
+            "a", "Z", " ", "é", "端", "🦀", "\u{7f}", "\u{1}", r#"\""#, r"\\", r"\/", r"\n", r"\r",
+            r"\t", r"\b", r"\f", r"A", r"é", r"端", r"🦀", r"\ud83e", r"\udd80", r"\ud83eA", r"\q",
+            r"\u12",
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..2000 {
+            let mut body = String::from("\"");
+            for _ in 0..(state % 24) {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                body.push_str(PIECES[(state % PIECES.len() as u64) as usize]);
+            }
+            body.push('"');
+            let want = reference_string(body.as_bytes());
+            let got = Json::parse(&body);
+            match &want {
+                Ok(s) => {
+                    assert_eq!(got.as_ref(), Ok(&Json::Str(s.clone())), "{body}");
+                    assert_eq!(roundtrip(&Json::Str(s.clone())), Json::Str(s.clone()));
+                }
+                Err(_) => assert!(got.is_err(), "{body} should fail like the reference"),
+            }
+        }
+    }
+
+    /// A multi-megabyte string body parses in linear time — the old
+    /// scanner took minutes on this (quadratic re-validation).
+    #[test]
+    fn long_string_body_parses_in_linear_time() {
+        let body = format!("\"{}\"", "ab é 端 🦀 \\n ".repeat(4 << 20 >> 4));
+        assert!(body.len() >= 4 << 20);
+        let t = std::time::Instant::now();
+        let Json::Str(s) = Json::parse(&body).unwrap() else {
+            panic!("string body parses as a string")
+        };
+        assert!(
+            t.elapsed() < std::time::Duration::from_secs(2),
+            "{:?}",
+            t.elapsed()
+        );
+        assert_eq!(s.matches('🦀').count(), 4 << 20 >> 4);
     }
 }

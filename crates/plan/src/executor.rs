@@ -9,8 +9,9 @@
 //!   serial sibling subtrees run concurrently as tasks of one parallel
 //!   region; traced runs never ship (the tracer is bound to the
 //!   coordinating thread);
-//! * **operator spans**: `rows_in`/`rows_out`/`morsels`/`region`,
-//!   zone-map counter deltas and per-atom profiles;
+//! * **operator spans**: `rows_in`/`rows_out`/`morsels`/`region` (a
+//!   filter's `atom` children and `zone_*` attrs come from the one
+//!   evaluation itself, recorded by `ExecCtx::eval_mask`);
 //! * **recycling**: every intermediate relation goes back to the arena
 //!   that produced it the moment its consumer has produced its output —
 //!   also when a later sibling fails.
@@ -34,13 +35,10 @@
 //! ROADMAP).
 
 use basilisk_core::{
-    filter_atom_profiles, tagged_filter, tagged_join, tagged_select_final, FilterTagMap,
-    JoinTagMap, ProjectionTags, TaggedRelation,
+    tagged_filter, tagged_join, tagged_select_final, FilterTagMap, JoinTagMap, ProjectionTags,
+    TaggedRelation,
 };
-use basilisk_exec::{
-    filter, hash_join, relation_atom_profiles, union_all_dedup, ExecCtx, IdxRelation, TableSet,
-};
-use basilisk_expr::eval::AtomProfile;
+use basilisk_exec::{filter, hash_join, union_all_dedup, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_sched::{last_region_id, WorkerPool};
 use basilisk_types::{BasiliskError, MaskArena, Result, SpanId, Tracer};
@@ -84,13 +82,6 @@ trait Model: Sync {
         right: &Self::Rel,
     ) -> Result<Self::Rel>;
     fn union(&self, cx: &ExecCtx<'_>, inputs: &[Self::Rel]) -> Result<Self::Rel>;
-    /// Profile the atoms `filter(op, input)` evaluates (tracing only).
-    fn atom_profiles(
-        &self,
-        arena: &MaskArena,
-        op: &Self::FilterOp,
-        input: &Self::Rel,
-    ) -> Result<Vec<AtomProfile>>;
 
     /// Length of the underlying index relation — what decides fan-out.
     fn rows(rel: &Self::Rel) -> usize;
@@ -158,15 +149,6 @@ impl Model for Tagged<'_> {
 
     fn union(&self, _: &ExecCtx<'_>, _: &[TaggedRelation]) -> Result<TaggedRelation> {
         Err(BasiliskError::Plan("tagged plans have no union".into()))
-    }
-
-    fn atom_profiles(
-        &self,
-        arena: &MaskArena,
-        map: &FilterTagMap,
-        input: &TaggedRelation,
-    ) -> Result<Vec<AtomProfile>> {
-        filter_atom_profiles(self.tables, input, self.tree, map, arena)
     }
 
     fn rows(rel: &TaggedRelation) -> usize {
@@ -242,17 +224,6 @@ impl Model for Traditional<'_> {
         union_all_dedup(inputs, cx.arena)
     }
 
-    /// Evaluated over every input tuple: the traditional path cannot
-    /// short-circuit across lanes.
-    fn atom_profiles(
-        &self,
-        arena: &MaskArena,
-        node: &ExprId,
-        input: &IdxRelation,
-    ) -> Result<Vec<AtomProfile>> {
-        relation_atom_profiles(self.tables, input, self.predicate()?, *node, arena)
-    }
-
     fn rows(rel: &IdxRelation) -> usize {
         rel.len()
     }
@@ -294,22 +265,6 @@ fn span_finish(
         None => t.attr(s, "morsels", 1usize),
     }
     t.end(s);
-}
-
-/// Current zone-map counters visible to this execution: the session
-/// arena's plus — when the operator may fan out — every worker arena's.
-/// Sampled before/after an operator to stamp `zone_skips`/`zone_scans`
-/// deltas on its span (the atom profilers bypass the encoded path, so
-/// tracing itself never inflates the counters).
-fn zone_counters(cx: &ExecCtx<'_>) -> (u64, u64) {
-    let s = cx.arena.stats();
-    let (mut skips, mut scans) = (s.zone_skipped_morsels, s.zone_scanned_morsels);
-    if let Some(p) = cx.pool {
-        let ps = p.arena_stats();
-        skips += ps.zone_skipped_morsels;
-        scans += ps.zone_scanned_morsels;
-    }
-    (skips, scans)
 }
 
 /// Largest base-relation cardinality under a subtree — the size proxy
@@ -426,10 +381,6 @@ fn walk<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan) -> Result<M::Rel> {
     let span = cx.tracer.map(|t| (t, t.begin(name)));
     let inputs = run_children(m, cx, &children)?;
     let rels = &inputs.rels;
-    let zones_before = match (&span, &node) {
-        (Some(_), Node::Scan(_) | Node::Filter(..)) => Some(zone_counters(cx)),
-        _ => None,
-    };
     let out = match &node {
         Node::Scan(alias) => m.scan(cx, alias),
         Node::Filter(op, _) => m.filter(cx, op, &rels[0]),
@@ -437,24 +388,6 @@ fn walk<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan) -> Result<M::Rel> {
         Node::Union(_) => m.union(cx, rels),
     };
     if let Some((t, s)) = span {
-        if let Some(before) = zones_before {
-            let after = zone_counters(cx);
-            t.attr(s, "zone_skips", after.0 - before.0);
-            t.attr(s, "zone_scans", after.1 - before.1);
-        }
-        // Profiling shares the filter's evaluation path; an error here
-        // would have failed the operator itself, so it is safe to drop.
-        if let Node::Filter(op, _) = &node {
-            for p in m.atom_profiles(cx.arena, op, &rels[0]).unwrap_or_default() {
-                let a = t.begin("atom");
-                t.attr(a, "atom", p.atom);
-                t.attr(a, "lanes_evaluated", p.lanes_evaluated);
-                t.attr(a, "lanes_short_circuited", p.lanes_short_circuited);
-                t.attr(a, "true_count", p.true_count);
-                t.attr(a, "unknown_count", p.unknown_count);
-                t.end(a);
-            }
-        }
         // Filters and joins fan out by their largest input; scans and
         // the (serial) union dedup never do.
         let fan_rows = match node {
@@ -481,9 +414,10 @@ fn walk<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan) -> Result<M::Rel> {
 /// out), and small sibling subtrees ship as pool tasks; with `cx.tracer`
 /// each operator records a span (nested to mirror the plan tree)
 /// carrying `rows_in`/`rows_out`, its morsel fan-out, the parallel-region
-/// id it ran as, and — for filters — one `atom` child span per predicate
-/// atom with its lane-evaluation profile. Output is bit-for-bit
-/// identical across all four combinations.
+/// id it ran as, and — for filters — one timed `atom` child span per
+/// predicate atom describing what the filter's single evaluation did
+/// with it. Output is bit-for-bit identical across all four
+/// combinations.
 pub fn execute_tagged(
     cx: &ExecCtx<'_>,
     plan: &TPlan,

@@ -460,6 +460,32 @@ mod tests {
         assert_eq!(srv.outstanding(), 0);
     }
 
+    /// A cache miss plans under the request's one `plan` span, so a cold
+    /// traced request is accounted for by its children even though
+    /// planning a 4-clause DNF under TCombined is most of its time.
+    #[test]
+    fn cold_traced_request_plans_inside_its_plan_span() {
+        let srv = server();
+        let sql = "SELECT t.id FROM title t JOIN scores s ON t.id = s.movie_id \
+                   WHERE (t.year > 2000 AND s.score > 7.0) OR (t.year > 1990 AND s.score > 8.5) \
+                   OR (t.year < 1910 AND s.score < 1.0) OR (t.name LIKE 'film 1%' AND s.score > 9.0)";
+        let cold = Request::sql(sql).planner(basilisk_plan::PlannerKind::TCombined);
+        let r = srv.submit(cold.trace(true)).unwrap();
+        let root = r.trace.as_ref().unwrap();
+        assert!(root.is_well_formed());
+        let plans: Vec<_> = root.children.iter().filter(|c| c.name == "plan").collect();
+        assert_eq!(plans.len(), 1, "one plan span per request");
+        assert_eq!(plans[0].int("cache_hit"), Some(0));
+        assert_eq!(plans[0].int("rebind"), Some(0));
+        let covered: u64 = root.children.iter().map(|c| c.duration_micros).sum();
+        let outside = root.duration_micros.saturating_sub(covered);
+        assert!(
+            outside * 4 <= root.duration_micros,
+            "{outside} of {} µs outside every child span",
+            root.duration_micros
+        );
+    }
+
     #[test]
     fn slow_query_ring_records_and_stays_bounded() {
         let srv = Server::new(

@@ -470,8 +470,12 @@ impl Server {
                 .put_text(planner, sql, &stmt, Arc::clone(&params));
             return self.run_statement(&stmt, &params, true, client, priority, tracer);
         }
-        // Miss: plan, cache, execute.
+        // Miss: plan, cache, execute. Planning runs under the request's
+        // one `plan` span, which `run_statement` finishes after the bind.
         self.stats.cache_miss();
+        if let Some(t) = &tracer {
+            t.begin("plan");
+        }
         let params = Arc::new(normalized.params);
         let stmt = self
             .plan_statement(normalized.key, params.len(), normalized.stmt, planner)
@@ -581,7 +585,9 @@ impl Server {
         }))
     }
 
-    /// Bind, admit, execute, materialize, release.
+    /// Bind, admit, execute, materialize, release. A statement that is
+    /// not a `cache_hit` was just planned by the caller under an open
+    /// `plan` span; the bind joins that span instead of opening another.
     fn run_statement(
         &self,
         stmt: &Arc<PreparedStatement>,
@@ -592,7 +598,13 @@ impl Server {
         tracer: Option<Tracer>,
     ) -> Result<Response> {
         let t_total = Instant::now();
-        let plan_span = tracer.as_ref().map(|t| t.begin("plan"));
+        let plan_span = tracer.as_ref().map(|t| {
+            if cache_hit {
+                t.begin("plan")
+            } else {
+                t.current()
+            }
+        });
         let t_bind = Instant::now();
         let mut query = stmt.query.clone();
         if stmt.param_count > 0 {

@@ -21,7 +21,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
@@ -196,19 +196,37 @@ impl Tracer {
     /// [`Tracer::end`]; spans left open are closed by
     /// [`Tracer::finish`].
     pub fn begin(&self, name: &'static str) -> SpanId {
-        let start = self.now_micros();
+        let id = self.push(name, self.now_micros(), None);
+        self.state.borrow_mut().open.push(id.0);
+        id
+    }
+
+    /// Append an already-closed span of `duration` starting at `start`
+    /// under the innermost open span — work timed off this thread (the
+    /// atoms of a morsel-parallel evaluation). The caller keeps it inside
+    /// the parent: `start` not before the parent began, `start +
+    /// duration` not after now.
+    pub fn record(&self, name: &'static str, start: Instant, duration: Duration) -> SpanId {
+        let offset = start.saturating_duration_since(self.t0).as_micros() as u64;
+        self.push(name, offset, Some(duration.as_micros() as u64))
+    }
+
+    fn push(&self, name: &'static str, start_micros: u64, duration_micros: Option<u64>) -> SpanId {
         let mut st = self.state.borrow_mut();
         let parent = st.open.last().copied();
-        let idx = st.spans.len();
         st.spans.push(SpanRec {
             name,
             parent,
-            start_micros: start,
-            duration_micros: None,
+            start_micros,
+            duration_micros,
             attrs: Vec::new(),
         });
-        st.open.push(idx);
-        SpanId(idx)
+        SpanId(st.spans.len() - 1)
+    }
+
+    /// The innermost open span (the `request` root when none other is).
+    pub fn current(&self) -> SpanId {
+        SpanId(self.state.borrow().open.last().copied().unwrap_or(0))
     }
 
     /// Close an open span (idempotent; closing out of order also closes
