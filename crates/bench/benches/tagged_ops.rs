@@ -7,7 +7,7 @@ use basilisk_catalog::Catalog;
 use basilisk_core::{
     tagged_filter, tagged_join, Tag, TagMapBuilder, TagMapStrategy, TaggedRelation,
 };
-use basilisk_exec::{filter as plain_filter, hash_join, ExecCtx, IdxRelation, TableSet};
+use basilisk_exec::{filter as plain_filter, hash_join, Emit, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{and, col, or, ColumnRef, PredicateTree};
 use basilisk_types::MaskArena;
 use basilisk_workload::{generate_synthetic, SyntheticConfig};
@@ -48,6 +48,14 @@ fn find(tree: &PredicateTree, s: &str) -> basilisk_expr::ExprId {
         .unwrap()
 }
 
+/// The relation of an operator asked for rows.
+fn rows<R>(emitted: Emit<R>) -> R {
+    match emitted {
+        Emit::Rows(rel) => rel,
+        Emit::Count(n) => panic!("asked for rows, got a count of {n}"),
+    }
+}
+
 fn bench_filter(c: &mut Criterion) {
     let f = fixture(20_000);
     let builder = TagMapBuilder::new(&f.tree, TagMapStrategy::Generalized { use_closure: true });
@@ -63,14 +71,14 @@ fn bench_filter(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("tagged", |b| {
         b.iter(|| {
-            let out = tagged_filter(&cx, &f.tables, &base, &f.tree, &map).unwrap();
+            let out = rows(tagged_filter(&cx, &f.tables, &base, &f.tree, &map, None).unwrap());
             let n = out.num_slices();
             out.recycle(&arena);
             n
         })
     });
     group.bench_function("traditional", |b| {
-        b.iter(|| plain_filter(&cx, &f.tables, &plain_base, &f.tree, node).unwrap())
+        b.iter(|| plain_filter(&cx, &f.tables, &plain_base, &f.tree, node, false).unwrap())
     });
     group.finish();
 }
@@ -88,7 +96,7 @@ fn bench_join(c: &mut Criterion) {
     for node in [n1, n2] {
         let m = builder.filter_map(node, &tags);
         tags = builder.filter_output_tags(&m, &tags);
-        left = tagged_filter(&cx, &f.tables, &left, &f.tree, &m).unwrap();
+        left = rows(tagged_filter(&cx, &f.tables, &left, &f.tree, &m, None).unwrap());
     }
     let right = TaggedRelation::base_in(IdxRelation::base_in("t0", f.rows, &arena), &arena);
     let jmap = builder.join_map(&tags, &[Tag::empty()]);
@@ -102,14 +110,15 @@ fn bench_join(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("tagged_selective_map", |b| {
         b.iter(|| {
-            let out = tagged_join(&cx, &f.tables, &left, &right, &lk, &rk, &jmap).unwrap();
+            let out =
+                rows(tagged_join(&cx, &f.tables, &left, &right, &lk, &rk, &jmap, None).unwrap());
             let n = out.num_tuples();
             out.recycle(&arena);
             n
         })
     });
     group.bench_function("traditional_full", |b| {
-        b.iter(|| hash_join(&cx, &f.tables, &plain_left, &plain_right, &lk, &rk).unwrap())
+        b.iter(|| hash_join(&cx, &f.tables, &plain_left, &plain_right, &lk, &rk, false).unwrap())
     });
     group.finish();
 }

@@ -6,11 +6,15 @@
 //! connection gets its own fairness lane — and reports client-observed
 //! p50/p99/max latency plus the server's own serving stats.
 //!
+//! Every ad-hoc statement is followed by its `COUNT(*)` twin, whose
+//! count must equal the row statement's `row_count` (twins are checked,
+//! not timed).
+//!
 //! The CI `net-smoke` job runs this in release mode with
 //! `BASILISK_THREADS=4` and a generous `--max-p99-micros` ceiling; the
 //! harness exits non-zero when the ceiling is exceeded or any serving
 //! invariant breaks (errors, rejections, undrained queues, leaked
-//! arena buffers).
+//! arena buffers, a count that disagrees with its rows).
 //!
 //! ```text
 //! net_load [--clients 8] [--requests 64] [--max-p99-micros N]
@@ -28,9 +32,10 @@ const PREPARED_SHAPE: &str =
     "SELECT t.id FROM title t JOIN movie_info_idx mi ON t.id = mi.movie_id \
      WHERE t.production_year > 1990 OR mi.info > '7.0'";
 
-fn ad_hoc(r: usize) -> String {
+/// The `r`-th ad-hoc statement, projecting `projection`.
+fn ad_hoc(r: usize, projection: &str) -> String {
     format!(
-        "SELECT t.id, t.title FROM title t \
+        "SELECT {projection} FROM title t \
          WHERE t.production_year > {} OR t.title LIKE '%x{}%'",
         1950 + (r % 50),
         r % 7
@@ -82,7 +87,8 @@ fn main() {
         let stmt = warm.prepare(PREPARED_SHAPE).expect("warm prepare");
         warm.execute(stmt, &[Value::Int(1990), Value::from("7.0")])
             .expect("warm execute");
-        warm.sql(&ad_hoc(0)).expect("warm sql");
+        warm.sql(&ad_hoc(0, "t.id, t.title")).expect("warm sql");
+        warm.sql(&ad_hoc(0, "COUNT(*)")).expect("warm count");
     }
 
     let t0 = Instant::now();
@@ -95,30 +101,50 @@ fn main() {
                 let stmt = client.prepare(PREPARED_SHAPE).expect("prepare");
                 let mut latencies = Vec::with_capacity(requests);
                 let mut rows = 0usize;
+                let mut count_mismatches = Vec::new();
                 for r in 0..requests {
                     let t = Instant::now();
-                    let resp = if (c + r) % 2 == 0 {
+                    let ad_hoc_row = (c + r) % 2 == 1;
+                    let resp = if ad_hoc_row {
+                        client
+                            .sql(&ad_hoc(c * requests + r, "t.id, t.title"))
+                            .expect("sql")
+                    } else {
                         let params = [
                             Value::Int(1950 + (r % 60) as i64),
                             Value::from(format!("{}.{}", 5 + r % 5, r % 10)),
                         ];
                         client.execute(stmt, &params).expect("execute")
-                    } else {
-                        client.sql(&ad_hoc(c * requests + r)).expect("sql")
                     };
                     latencies.push(t.elapsed().as_micros().min(u64::MAX as u128) as u64);
                     rows += resp.row_count;
+                    if ad_hoc_row {
+                        let twin = ad_hoc(c * requests + r, "COUNT(*)");
+                        let counted = client.sql(&twin).expect("count sql");
+                        let count = match counted.columns.first().and_then(|(_, v)| v.first()) {
+                            Some(Value::Int(n)) => usize::try_from(*n).ok(),
+                            _ => None,
+                        };
+                        if count != Some(resp.row_count) {
+                            count_mismatches.push(format!(
+                                "{twin}: counted {count:?}, rows {}",
+                                resp.row_count
+                            ));
+                        }
+                    }
                 }
-                (latencies, rows)
+                (latencies, rows, count_mismatches)
             })
         })
         .collect();
     let mut latencies = Vec::with_capacity(clients * requests);
     let mut rows = 0usize;
+    let mut count_mismatches = Vec::new();
     for h in handles {
-        let (l, r) = h.join().expect("client thread");
+        let (l, r, m) = h.join().expect("client thread");
         latencies.extend(l);
         rows += r;
+        count_mismatches.extend(m);
     }
     let wall = t0.elapsed();
 
@@ -167,6 +193,12 @@ fn main() {
     check(stats.queue_depth == 0, "admission queue did not drain");
     check(stats.region_waits == 0, "parallel regions waited for slots");
     check(listener.server().outstanding() == 0, "arena buffers leaked");
+    for mismatch in &count_mismatches {
+        check(
+            false,
+            &format!("COUNT(*) twin disagrees with its rows: {mismatch}"),
+        );
+    }
     if let Some(ceiling) = max_p99_micros {
         check(
             p99 <= ceiling,

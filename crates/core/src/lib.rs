@@ -25,7 +25,9 @@
 //!   [`basilisk_exec::ExecCtx`] — serial or morsel-parallel by its
 //!   `pool` — draws its mask/bitmap scratch from the context's arena
 //!   and recycles it before returning, so steady-state pipelines are
-//!   allocation-free.
+//!   allocation-free. At the root of a `COUNT(*)` plan the filter, the
+//!   join and the final selection emit only the admitted count
+//!   ([`basilisk_exec::Emit`]).
 
 #![forbid(unsafe_code)]
 

@@ -1,6 +1,8 @@
 //! The tagged operators (§2.2–§2.5).
 
-use basilisk_exec::{combine, ExecCtx, FxHashMap, IdxRelation, JoinTable, RelProvider, TableSet};
+use basilisk_exec::{
+    combine, Emit, ExecCtx, FxHashMap, IdxRelation, JoinTable, RelProvider, TableSet,
+};
 use basilisk_expr::{ColumnRef, PredicateTree};
 use basilisk_storage::Column;
 use basilisk_types::{BasiliskError, Bitmap, MaskArena, Result};
@@ -37,27 +39,45 @@ use crate::tagmap::{FilterTagMap, JoinTagMap, ProjectionTags};
 /// ranges back into one relation-length mask, and the per-slice
 /// pos/neg/unk routing happens on the stitched mask exactly as in the
 /// serial case — so output slices are bit-for-bit identical.
+///
+/// With `count: Some(projection)` the filter is the root of a `COUNT(*)`
+/// plan and emits only how many tuples land in a slice the projection
+/// admits ([`Emit::Count`]): pass-through slices are popcounted instead
+/// of copied, evaluated slices are counted straight off the mask instead
+/// of split into output bitmaps, and an entry none of whose outcomes is
+/// admitted is dropped unevaluated, like a dead one.
 pub fn tagged_filter(
     cx: &ExecCtx<'_>,
     tables: &TableSet,
     input: &TaggedRelation,
     tree: &PredicateTree,
     map: &FilterTagMap,
-) -> Result<TaggedRelation> {
+    count: Option<&ProjectionTags>,
+) -> Result<Emit<TaggedRelation>> {
     let arena = cx.arena;
     let relation = input.relation().clone();
     let n = relation.len();
+    // Rows keep every outcome the tag map names; a count only admitted ones.
+    let kept =
+        |tag: Option<&crate::Tag>| tag.is_some_and(|t| count.is_none_or(|p| p.allowed.contains(t)));
 
     // Split slices into pass-through / evaluated / dropped.
     let mut out_slices: Vec<(crate::Tag, Bitmap)> = Vec::new();
+    let mut counted = 0;
     let mut evaluated: Vec<(usize, &crate::tagmap::FilterTagEntry)> = Vec::new();
     let mut union = arena.bitmap(n);
     for (i, (tag, bitmap)) in input.slices().iter().enumerate() {
         match map.entry_for(tag) {
+            None if count.is_some() => {
+                if kept(Some(tag)) {
+                    counted += bitmap.count_ones();
+                }
+            }
             None => push_slice(arena, &mut out_slices, tag, arena.bitmap_copy(bitmap)),
-            Some(e) if e.pos.is_none() && e.neg.is_none() && e.unk.is_none() => {
-                // Dead entry: Precept 1 killed every branch — drop the
-                // slice without touching the data.
+            Some(e) if ![&e.pos, &e.neg, &e.unk].iter().any(|t| kept(t.as_ref())) => {
+                // Dead entry: Precept 1 killed every branch (or, counting,
+                // the projection admits none) — drop the slice without
+                // touching the data.
             }
             Some(e) => {
                 evaluated.push((i, e));
@@ -80,6 +100,18 @@ pub fn tagged_filter(
 
         for (slice_idx, entry) in evaluated {
             let (_, bitmap) = &input.slices()[slice_idx];
+            if count.is_some() {
+                // The slice's lanes split into true, unknown and the rest.
+                let tru = ones_under(bitmap, mask.trues());
+                let unk = ones_under(bitmap, mask.unknowns());
+                let neg = bitmap.count_ones() - tru - unk;
+                for (tag, lanes) in [(&entry.pos, tru), (&entry.neg, neg), (&entry.unk, unk)] {
+                    if kept(tag.as_ref()) {
+                        counted += lanes;
+                    }
+                }
+                continue;
+            }
             let mut pos_bm = arena.bitmap(n);
             let mut neg_bm = arena.bitmap(n);
             let mut unk_bm = arena.bitmap(n);
@@ -92,7 +124,19 @@ pub fn tagged_filter(
     }
     arena.recycle_bitmap(union);
 
-    Ok(TaggedRelation::from_slices(relation, out_slices))
+    Ok(match count {
+        Some(_) => Emit::Count(counted),
+        None => Emit::Rows(TaggedRelation::from_slices(relation, out_slices)),
+    })
+}
+
+/// How many of `slice`'s set bits are also set in `bits`.
+fn ones_under(slice: &Bitmap, bits: &Bitmap) -> usize {
+    let (a, b) = (slice.words(), bits.words());
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x & y).count_ones() as usize)
+        .sum()
 }
 
 /// Keep `bm` as the `tag` output slice, or hand it back to the pool when
@@ -150,6 +194,14 @@ fn recycle_slices(arena: &MaskArena, slices: Vec<(crate::Tag, Bitmap)>) {
 /// `(left, right, out-slice)` match triples are concatenated in chunk
 /// order — the order the serial probe loop emits, so the joined relation
 /// and its tag slices are identical.
+///
+/// With `count: Some(projection)` the join is the root of a `COUNT(*)`
+/// plan and emits only how many matching pairs land in an out tag the
+/// projection admits ([`Emit::Count`]). The pair table then holds only
+/// admitted entries, so the participating build and probe unions shrink
+/// with it, and the same probe loop counts instead of recording
+/// selection vectors: no `combine`, no per-tag bitmaps.
+#[allow(clippy::too_many_arguments)]
 pub fn tagged_join(
     cx: &ExecCtx<'_>,
     tables: &TableSet,
@@ -158,7 +210,8 @@ pub fn tagged_join(
     left_key: &ColumnRef,
     right_key: &ColumnRef,
     map: &JoinTagMap,
-) -> Result<TaggedRelation> {
+    count: Option<&ProjectionTags>,
+) -> Result<Emit<TaggedRelation>> {
     let (arena, pool) = (cx.arena, cx.pool);
     if !left.relation().covers(&left_key.table) || !right.relation().covers(&right_key.table) {
         return Err(BasiliskError::Exec(format!(
@@ -168,22 +221,27 @@ pub fn tagged_join(
 
     // Resolve tag-map entries to slice indices (entries naming tags whose
     // slices are empty/absent are simply unreachable).
-    let left_slot: FxHashMap<&crate::Tag, u16> = left
+    let left_slot: FxHashMap<&crate::Tag, u32> = left
         .slices()
         .iter()
         .enumerate()
-        .map(|(i, (t, _))| (t, i as u16))
+        .map(|(i, (t, _))| (t, i as u32))
         .collect();
-    let right_slot: FxHashMap<&crate::Tag, u16> = right
+    let right_slot: FxHashMap<&crate::Tag, u32> = right
         .slices()
         .iter()
         .enumerate()
-        .map(|(i, (t, _))| (t, i as u16))
+        .map(|(i, (t, _))| (t, i as u32))
         .collect();
 
     let mut out_tags: Vec<crate::Tag> = Vec::new();
-    let mut pair_to_out: FxHashMap<(u16, u16), u16> = FxHashMap::default();
+    let mut pair_to_out: FxHashMap<(u32, u32), u16> = FxHashMap::default();
     for e in &map.entries {
+        // A pair whose out tag the projection rejects would be selected
+        // away at the end: a count never builds, probes or matches it.
+        if count.is_some_and(|p| !p.allowed.contains(&e.out)) {
+            continue;
+        }
         let (Some(&ls), Some(&rs)) = (left_slot.get(&e.left), right_slot.get(&e.right)) else {
             continue;
         };
@@ -204,9 +262,6 @@ pub fn tagged_join(
         left_union.union_with(&left.slices()[ls as usize].1);
         right_union.union_with(&right.slices()[rs as usize].1);
     }
-
-    let left_membership = left.slice_membership();
-    let right_membership = right.slice_membership();
 
     // Build/probe preparation. One shared hash table over all
     // participating left slices (§2.5.3's "one giant hash table"), CSR
@@ -313,33 +368,43 @@ pub fn tagged_join(
     // The probe half, over one contiguous chunk of participating right
     // positions; the third list is the per-tuple output-slice index,
     // widened to u32 so it can live in a pooled index buffer like the
-    // selection vectors beside it.
-    let probed = cx.probe(
-        right_positions.len(),
-        |range, [left_sel, right_sel, tuple_out]| {
-            for (j, &rpos) in right_positions[range.clone()].iter().enumerate() {
-                let Some(k) = basilisk_exec::join_key(&right_keys, range.start + j) else {
+    // selection vectors beside it. Slice membership is pooled scratch
+    // too, `u32::MAX` for a tuple in no slice.
+    let left_membership = left.slice_membership(arena);
+    let right_membership = right.slice_membership(arena);
+    let probed = cx.probe(right_positions.len(), count.is_some(), |range, out| {
+        for (j, &rpos) in right_positions[range.clone()].iter().enumerate() {
+            let Some(k) = basilisk_exec::join_key(&right_keys, range.start + j) else {
+                continue;
+            };
+            let matches = table.probe(&k);
+            if matches.is_empty() {
+                continue;
+            }
+            let rs = right_membership[rpos as usize];
+            for &lpos in matches {
+                let ls = left_membership[lpos as usize];
+                let Some(&out_idx) = pair_to_out.get(&(ls, rs)) else {
                     continue;
                 };
-                let matches = table.probe(&k);
-                if matches.is_empty() {
-                    continue;
-                }
-                let rs = right_membership[rpos as usize].expect("participating tuple has a slice");
-                for &lpos in matches {
-                    let ls =
-                        left_membership[lpos as usize].expect("participating tuple has a slice");
-                    if let Some(&out_idx) = pair_to_out.get(&(ls, rs)) {
+                match out {
+                    Emit::Rows([left_sel, right_sel, tuple_out]) => {
                         left_sel.push(lpos);
                         right_sel.push(rpos);
                         tuple_out.push(out_idx as u32);
                     }
+                    Emit::Count(n) => *n += 1,
                 }
             }
-        },
-    );
+        }
+    });
     recycle_probe(right_positions, right_keys);
-    let [left_sel, right_sel, tuple_out] = probed?;
+    arena.recycle_indices(left_membership);
+    arena.recycle_indices(right_membership);
+    let [left_sel, right_sel, tuple_out] = match probed? {
+        Emit::Rows(lists) => lists,
+        Emit::Count(n) => return Ok(Emit::Count(n)),
+    };
 
     let relation = combine(
         left.relation(),
@@ -368,7 +433,7 @@ pub fn tagged_join(
             slices.push((tag, bm));
         }
     }
-    Ok(TaggedRelation::from_slices(relation, slices))
+    Ok(Emit::Rows(TaggedRelation::from_slices(relation, slices)))
 }
 
 /// Gather the key *values* at the given relation positions. The
@@ -394,15 +459,29 @@ fn gather_keys(
 /// Final tag-based selection before projection (§2.4): keep only tuples in
 /// slices the projection admits. The union bitmap and the index decode
 /// buffer are pooled scratch, recycled before returning.
+///
+/// With `count` nothing is selected or gathered: slices are mutually
+/// exclusive (§2.1), so the admitted tuples number the popcounts of the
+/// admitted slices, summed ([`Emit::Count`]).
 pub fn tagged_select_final(
     rel: &TaggedRelation,
     allowed: &ProjectionTags,
     arena: &MaskArena,
-) -> IdxRelation {
+    count: bool,
+) -> Emit<IdxRelation> {
+    if count {
+        return Emit::Count(
+            rel.slices()
+                .iter()
+                .filter(|(tag, _)| allowed.allowed.contains(tag))
+                .map(|(_, bm)| bm.count_ones())
+                .sum(),
+        );
+    }
     let union = rel.union_of_in(&allowed.allowed, arena);
     let out = rel.relation().select_bitmap_in(&union, arena);
     arena.recycle_bitmap(union);
-    out
+    Emit::Rows(out)
 }
 
 #[cfg(test)]
@@ -432,7 +511,7 @@ mod tests {
         tree: &PredicateTree,
         map: &FilterTagMap,
     ) -> TaggedRelation {
-        tagged_filter(&ExecCtx::serial(&arena()), ts, input, tree, map).unwrap()
+        rows(tagged_filter(&ExecCtx::serial(&arena()), ts, input, tree, map, None).unwrap())
     }
 
     /// `left ⋈ right` on `t.id = mi_idx.movie_id`, serial.
@@ -446,7 +525,16 @@ mod tests {
             ColumnRef::new("t", "id"),
             ColumnRef::new("mi_idx", "movie_id"),
         );
-        tagged_join(&ExecCtx::serial(&arena()), ts, left, right, &lk, &rk, map).unwrap()
+        let a = arena();
+        rows(tagged_join(&ExecCtx::serial(&a), ts, left, right, &lk, &rk, map, None).unwrap())
+    }
+
+    /// The relation of an operator asked for rows.
+    fn rows<R>(emitted: Emit<R>) -> R {
+        match emitted {
+            Emit::Rows(rel) => rel,
+            Emit::Count(n) => panic!("asked for rows, got a count of {n}"),
+        }
     }
 
     fn tagged(alias: &str, rows: usize) -> TaggedRelation {
@@ -576,22 +664,38 @@ mod tests {
         // Example 4: output = Dark Knight(9.0), Avatar(7.9), Shawshank
         // (9.3), Pulp Fiction(8.9) — 4 tuples.
         let proj = b.projection_tags(&b.join_output_tags(&jm));
-        let final_rel = tagged_select_final(&joined, &proj, &arena());
+        let final_rel = rows(tagged_select_final(&joined, &proj, &arena(), false));
         assert_eq!(final_rel.len(), 4);
+
+        // Counting at the root join sees the same four pairs without
+        // materializing them — and only admitted pairs are counted.
+        let count_arena = arena();
+        let cx = ExecCtx::serial(&count_arena);
+        let (lk, rk) = (
+            ColumnRef::new("t", "id"),
+            ColumnRef::new("mi_idx", "movie_id"),
+        );
+        let counted = tagged_join(&cx, &ts, &left, &right, &lk, &rk, &jm, Some(&proj)).unwrap();
+        assert!(matches!(counted, Emit::Count(4)));
+        assert_eq!(count_arena.outstanding(), 0);
 
         // Cross-check against the traditional engine.
         let plain_arena = arena();
         let cx = ExecCtx::serial(&plain_arena);
-        let joined_plain = hash_join(
-            &cx,
-            &ts,
-            &idx("t", 7),
-            &idx("mi_idx", 6),
-            &ColumnRef::new("t", "id"),
-            &ColumnRef::new("mi_idx", "movie_id"),
-        )
-        .unwrap();
-        let expected = plain_filter(&cx, &ts, &joined_plain, &tree, tree.root()).unwrap();
+        let joined_plain = rows(
+            hash_join(
+                &cx,
+                &ts,
+                &idx("t", 7),
+                &idx("mi_idx", 6),
+                &ColumnRef::new("t", "id"),
+                &ColumnRef::new("mi_idx", "movie_id"),
+                false,
+            )
+            .unwrap(),
+        );
+        let expected =
+            rows(plain_filter(&cx, &ts, &joined_plain, &tree, tree.root(), false).unwrap());
         assert_eq!(expected.len(), 4);
         let mut a: Vec<(u32, u32)> = (0..final_rel.len())
             .map(|i| {
@@ -778,6 +882,32 @@ mod tests {
                 .filter(|t| joined.slice(t).is_some())
                 .count()
         );
+
+        // Counting keeps only the pairs whose out tag the projection
+        // admits: what the final selection would have kept.
+        let proj = b.projection_tags(&b.join_output_tags(&jm));
+        let admitted = rows(tagged_select_final(&joined, &proj, &arena(), false)).len();
+        assert!(
+            admitted < joined.num_tagged_tuples(),
+            "some pairs undecided"
+        );
+        let a = arena();
+        let (lk, rk) = (
+            ColumnRef::new("t", "id"),
+            ColumnRef::new("mi_idx", "movie_id"),
+        );
+        let counted = tagged_join(
+            &ExecCtx::serial(&a),
+            &ts,
+            &left,
+            &right,
+            &lk,
+            &rk,
+            &jm,
+            Some(&proj),
+        );
+        assert!(matches!(counted, Ok(Emit::Count(n)) if n == admitted));
+        assert_eq!(a.outstanding(), 0, "a count returns every buffer");
     }
 
     /// Equivalence on a single-table disjunction: tagged vs plain filter.
@@ -801,16 +931,19 @@ mod tests {
             rel = filtered(&ts, &rel, &tree, &m);
         }
         let proj = b.projection_tags(&tags);
-        let got = tagged_select_final(&rel, &proj, &arena());
+        let got = rows(tagged_select_final(&rel, &proj, &arena(), false));
 
-        let expected = plain_filter(
-            &ExecCtx::serial(&arena()),
-            &ts,
-            &idx("t", 7),
-            &tree,
-            tree.root(),
-        )
-        .unwrap();
+        let expected = rows(
+            plain_filter(
+                &ExecCtx::serial(&arena()),
+                &ts,
+                &idx("t", 7),
+                &tree,
+                tree.root(),
+                false,
+            )
+            .unwrap(),
+        );
         let mut a = got.col("t").unwrap().to_vec();
         let mut e2 = expected.col("t").unwrap().to_vec();
         a.sort_unstable();

@@ -106,18 +106,10 @@ impl TaggedRelation {
         }
     }
 
-    /// Number of tuples belonging to any slice.
+    /// Number of tuples belonging to any slice — the slices' popcounts,
+    /// summed, since slices are mutually exclusive.
     pub fn num_tagged_tuples(&self) -> usize {
-        self.union_all().count_ones()
-    }
-
-    /// Union of every slice's bitmap.
-    pub fn union_all(&self) -> Bitmap {
-        let mut out = Bitmap::new(self.relation.len());
-        for (_, bm) in &self.slices {
-            out.union_with(bm);
-        }
-        out
+        self.slices.iter().map(|(_, bm)| bm.count_ones()).sum()
     }
 
     /// Union of the slices whose tags are in `tags` (missing tags are
@@ -147,15 +139,18 @@ impl TaggedRelation {
         self.relation.recycle(arena);
     }
 
-    /// Per-tuple slice membership: `slice_of[i]` is the index (into
+    /// Per-tuple slice membership, in an index buffer checked out of
+    /// `arena` (recycle it when done): entry `i` is the index (into
     /// [`slices`](Self::slices)) of the slice containing tuple `i`, or
-    /// `None`. Relies on mutual exclusivity.
-    pub fn slice_membership(&self) -> Vec<Option<u16>> {
-        let mut out = vec![None; self.relation.len()];
+    /// `u32::MAX` when tuple `i` is in no slice. Relies on mutual
+    /// exclusivity.
+    pub fn slice_membership(&self, arena: &MaskArena) -> Vec<u32> {
+        let mut out = arena.indices();
+        out.resize(self.relation.len(), u32::MAX);
         for (s, (_, bm)) in self.slices.iter().enumerate() {
             for i in bm.iter_ones() {
-                debug_assert!(out[i].is_none(), "slices must be mutually exclusive");
-                out[i] = Some(s as u16);
+                debug_assert_eq!(out[i], u32::MAX, "slices must be mutually exclusive");
+                out[i] = s as u32;
             }
         }
         out
@@ -228,7 +223,9 @@ mod tests {
         );
         let u = tr.union_of_in(&[tag(1), tag(3), tag(9)], &MaskArena::new());
         assert_eq!(u.to_indices(), vec![0, 1, 5]);
-        assert_eq!(tr.union_all().to_indices(), vec![0, 1, 3, 5]);
+        let all = tr.union_of_in(&tr.tags(), &MaskArena::new());
+        assert_eq!(all.to_indices(), vec![0, 1, 3, 5]);
+        assert_eq!(tr.num_tagged_tuples(), all.count_ones());
         assert_eq!(tr.tags().len(), 3);
     }
 
@@ -241,7 +238,11 @@ mod tests {
                 (tag(2), Bitmap::from_indices(4, [0usize])),
             ],
         );
-        assert_eq!(tr.slice_membership(), vec![Some(1), None, Some(0), None]);
+        let arena = MaskArena::new();
+        let membership = tr.slice_membership(&arena);
+        assert_eq!(membership, vec![1, u32::MAX, 0, u32::MAX]);
+        arena.recycle_indices(membership);
+        assert_eq!(arena.outstanding(), 0);
         assert!(tr.check_mutually_exclusive());
     }
 

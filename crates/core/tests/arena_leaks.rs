@@ -57,20 +57,22 @@ fn failed_plain_filter_leaks_nothing() {
     let ts = tset();
     let tree = failing_tree();
     let arena = MaskArena::new();
-    let rel = IdxRelation::base_in("t", 100, &arena);
     let cx = ExecCtx::serial(&arena);
-    let err = plain_filter(&cx, &ts, &rel, &tree, tree.root());
-    assert!(err.is_err(), "missing column must fail evaluation");
-    rel.recycle(&arena);
-    assert_eq!(
-        arena.outstanding(),
-        0,
-        "mid-fold failure stranded pooled buffers"
-    );
+    for count in [false, true] {
+        let rel = IdxRelation::base_in("t", 100, &arena);
+        let err = plain_filter(&cx, &ts, &rel, &tree, tree.root(), count);
+        assert!(err.is_err(), "missing column must fail evaluation");
+        rel.recycle(&arena);
+        assert_eq!(
+            arena.outstanding(),
+            0,
+            "mid-fold failure stranded pooled buffers (count={count})"
+        );
+    }
     // The pool still serves the repaired query afterwards.
     let ok_tree = PredicateTree::build(&col("t", "year").gt(2000i64));
     let rel = IdxRelation::base_in("t", 100, &arena);
-    assert!(plain_filter(&cx, &ts, &rel, &ok_tree, ok_tree.root()).is_ok());
+    assert!(plain_filter(&cx, &ts, &rel, &ok_tree, ok_tree.root(), false).is_ok());
 }
 
 #[test]
@@ -84,7 +86,7 @@ fn failed_tagged_filter_leaks_nothing() {
     let map = builder.filter_map(tree.root(), &[basilisk_core::Tag::empty()]);
     let input = TaggedRelation::base_in(IdxRelation::base_in("t", 100, &arena), &arena);
     let before_cols = arena.stats().columns;
-    let err = tagged_filter(&ExecCtx::serial(&arena), &ts, &input, &tree, &map);
+    let err = tagged_filter(&ExecCtx::serial(&arena), &ts, &input, &tree, &map, None);
     assert!(err.is_err());
     input.recycle(&arena);
     assert_eq!(
@@ -111,18 +113,23 @@ fn failed_tagged_join_leaks_nothing() {
         &[basilisk_core::Tag::empty()],
         &[basilisk_core::Tag::empty()],
     );
+    let proj = builder.projection_tags(&builder.join_output_tags(&jm));
     // Key column covered by the relation but absent from the schema:
-    // the key gather fails *after* the position buffers are checked out.
-    let err = tagged_join(
-        &ExecCtx::serial(&arena),
-        &ts,
-        &left,
-        &right,
-        &ColumnRef::new("t", "no_such_column"),
-        &ColumnRef::new("t", "id"),
-        &jm,
-    );
-    assert!(err.is_err());
+    // the key gather fails *after* the position buffers are checked out,
+    // whether the join was asked for rows or for a count.
+    for count in [None, Some(&proj)] {
+        let err = tagged_join(
+            &ExecCtx::serial(&arena),
+            &ts,
+            &left,
+            &right,
+            &ColumnRef::new("t", "no_such_column"),
+            &ColumnRef::new("t", "id"),
+            &jm,
+            count,
+        );
+        assert!(err.is_err());
+    }
     left.recycle(&arena);
     right.recycle(&arena);
     assert_eq!(

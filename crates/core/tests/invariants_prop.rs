@@ -8,8 +8,10 @@
 //! * the union of output slices is a subset of the union of input slices
 //!   (filters only drop or re-label, never invent tuples).
 
-use basilisk_core::{tagged_filter, Tag, TagMapBuilder, TagMapStrategy, TaggedRelation};
-use basilisk_exec::{ExecCtx, IdxRelation, TableSet};
+use basilisk_core::{
+    tagged_filter, tagged_select_final, Tag, TagMapBuilder, TagMapStrategy, TaggedRelation,
+};
+use basilisk_exec::{Emit, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{and, col, or, Expr, PredicateTree};
 use basilisk_storage::{Column, Table};
 use basilisk_types::MaskArena;
@@ -30,6 +32,14 @@ fn table(values: &[i64]) -> TableSet {
     ];
     let t = Table::from_columns("t", cols).unwrap();
     TableSet::from_tables(vec![("t".into(), Arc::new(t))])
+}
+
+/// The relation of an operator asked for rows.
+fn rows<R>(emitted: Emit<R>) -> R {
+    match emitted {
+        Emit::Rows(rel) => rel,
+        Emit::Count(n) => panic!("asked for rows, got a count of {n}"),
+    }
 }
 
 fn pred_strategy() -> impl Strategy<Value = Expr> {
@@ -66,13 +76,13 @@ proptest! {
         for node in tree.atom_ids() {
             let map = builder.filter_map(node, &tags);
             tags = builder.filter_output_tags(&map, &tags);
-            let prev_union = rel.union_all();
-            rel = tagged_filter(&cx, &tables, &rel, &tree, &map).unwrap();
+            let prev_union = rel.union_of_in(&rel.tags(), &arena);
+            rel = rows(tagged_filter(&cx, &tables, &rel, &tree, &map, None).unwrap());
             // Invariants.
             prop_assert!(rel.check_mutually_exclusive());
             prop_assert_eq!(rel.num_tuples(), values.len(), "relation never rewritten");
             prop_assert!(
-                rel.union_all().is_subset(&prev_union),
+                rel.union_of_in(&rel.tags(), &arena).is_subset(&prev_union),
                 "filters only drop or re-label"
             );
             for (tag, bm) in rel.slices() {
@@ -83,15 +93,23 @@ proptest! {
         }
         // Final check: projected rows equal a direct evaluation.
         let proj = builder.projection_tags(&tags);
-        let selected = basilisk_core::tagged_select_final(&rel, &proj, &arena);
-        let expected = basilisk_exec::filter(
-            &cx,
-            &tables,
-            &IdxRelation::base_in("t", values.len(), &arena),
-            &tree,
-            tree.root(),
-        )
-        .unwrap();
+        let selected = rows(tagged_select_final(&rel, &proj, &arena, false));
+        let counted = tagged_select_final(&rel, &proj, &arena, true);
+        prop_assert!(
+            matches!(counted, Emit::Count(n) if n == selected.len()),
+            "the admitted popcount is the selection"
+        );
+        let expected = rows(
+            basilisk_exec::filter(
+                &cx,
+                &tables,
+                &IdxRelation::base_in("t", values.len(), &arena),
+                &tree,
+                tree.root(),
+                false,
+            )
+            .unwrap(),
+        );
         let mut a = selected.col("t").unwrap().to_vec();
         let mut e = expected.col("t").unwrap().to_vec();
         a.sort_unstable();

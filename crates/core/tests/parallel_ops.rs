@@ -7,8 +7,10 @@
 
 use std::sync::Arc;
 
-use basilisk_core::{tagged_filter, tagged_join, TagMapBuilder, TagMapStrategy, TaggedRelation};
-use basilisk_exec::{ExecCtx, IdxRelation, TableSet};
+use basilisk_core::{
+    tagged_filter, tagged_join, tagged_select_final, TagMapBuilder, TagMapStrategy, TaggedRelation,
+};
+use basilisk_exec::{Emit, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{and, col, or, ColumnRef, PredicateTree};
 use basilisk_sched::WorkerPool;
 use basilisk_storage::{Table, TableBuilder};
@@ -111,14 +113,17 @@ fn tagged_filter_slices_identical_across_workers() {
     for &node in &atoms {
         let map = builder.filter_map(node, &tags);
         tags = builder.filter_output_tags(&map, &tags);
-        serial_rel = tagged_filter(
-            &ExecCtx::serial(&serial_arena),
-            &ts,
-            &serial_rel,
-            &tree,
-            &map,
-        )
-        .unwrap();
+        serial_rel = rows(
+            tagged_filter(
+                &ExecCtx::serial(&serial_arena),
+                &ts,
+                &serial_rel,
+                &tree,
+                &map,
+                None,
+            )
+            .unwrap(),
+        );
         serial_steps.push(fingerprint(&serial_rel));
     }
 
@@ -130,7 +135,19 @@ fn tagged_filter_slices_identical_across_workers() {
         for (step, &node) in atoms.iter().enumerate() {
             let map = builder.filter_map(node, &tags);
             tags = builder.filter_output_tags(&map, &tags);
-            rel = tagged_filter(&parallel(&arena, &pool), &ts, &rel, &tree, &map).unwrap();
+            let cx = parallel(&arena, &pool);
+            let out = rows(tagged_filter(&cx, &ts, &rel, &tree, &map, None).unwrap());
+            if step + 1 == atoms.len() {
+                // Counting at the root reads the same mask's admitted lanes.
+                let proj = builder.projection_tags(&tags);
+                let counted = tagged_filter(&cx, &ts, &rel, &tree, &map, Some(&proj)).unwrap();
+                let selected = tagged_select_final(&out, &proj, &arena, true);
+                let (Emit::Count(a), Emit::Count(b)) = (counted, selected) else {
+                    panic!("asked for counts");
+                };
+                assert_eq!(a, b, "{workers} workers: the counting filter diverged");
+            }
+            rel = out;
             assert_eq!(
                 fingerprint(&rel),
                 serial_steps[step],
@@ -153,8 +170,8 @@ fn tagged_join_identical_across_workers() {
     let builder = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
 
     let build_side = |cx: &ExecCtx<'_>, table: &str| -> (TaggedRelation, Vec<basilisk_core::Tag>) {
-        let rows = if table == "t" { ROWS } else { 2 * ROWS };
-        let mut rel = base(table, rows, cx.arena);
+        let n = if table == "t" { ROWS } else { 2 * ROWS };
+        let mut rel = base(table, n, cx.arena);
         let mut tags = vec![basilisk_core::Tag::empty()];
         for id in tree.atom_ids() {
             if tree.atom(id).unwrap().column().table != table {
@@ -162,7 +179,7 @@ fn tagged_join_identical_across_workers() {
             }
             let map = builder.filter_map(id, &tags);
             tags = builder.filter_output_tags(&map, &tags);
-            rel = tagged_filter(cx, &ts, &rel, &tree, &map).unwrap();
+            rel = rows(tagged_filter(cx, &ts, &rel, &tree, &map, None).unwrap());
         }
         (rel, tags)
     };
@@ -175,8 +192,13 @@ fn tagged_join_identical_across_workers() {
     let (sl, slt) = build_side(&serial_cx, "t");
     let (sr, srt) = build_side(&serial_cx, "mi");
     let jm = builder.join_map(&slt, &srt);
-    let serial = tagged_join(&serial_cx, &ts, &sl, &sr, &lk, &rk, &jm).unwrap();
+    let serial = rows(tagged_join(&serial_cx, &ts, &sl, &sr, &lk, &rk, &jm, None).unwrap());
     let serial_fp = fingerprint(&serial);
+    let proj = builder.projection_tags(&builder.join_output_tags(&jm));
+    let admitted = tagged_select_final(&serial, &proj, &serial_arena, true);
+    let Emit::Count(admitted) = admitted else {
+        panic!("asked for a count");
+    };
     let serial_tuples: Vec<Vec<u32>> = (0..serial.num_tuples())
         .map(|i| serial.relation().tuple(i))
         .collect();
@@ -189,7 +211,12 @@ fn tagged_join_identical_across_workers() {
         let (l, lt) = build_side(&cx, "t");
         let (r, rt) = build_side(&cx, "mi");
         let jm = builder.join_map(&lt, &rt);
-        let joined = tagged_join(&cx, &ts, &l, &r, &lk, &rk, &jm).unwrap();
+        let counted = tagged_join(&cx, &ts, &l, &r, &lk, &rk, &jm, Some(&proj)).unwrap();
+        assert!(
+            matches!(counted, Emit::Count(n) if n == admitted),
+            "{workers} workers: the counting probe diverged"
+        );
+        let joined = rows(tagged_join(&cx, &ts, &l, &r, &lk, &rk, &jm, None).unwrap());
         assert_eq!(
             fingerprint(&joined),
             serial_fp,
@@ -226,7 +253,7 @@ fn injected_eval_failure_strands_nothing_in_worker_arenas() {
         let arena = MaskArena::new();
         let cx = parallel(&arena, &pool);
         let input = base("t", ROWS, &arena);
-        let err = tagged_filter(&cx, &ts, &input, &bad, &map);
+        let err = tagged_filter(&cx, &ts, &input, &bad, &map, None);
         assert!(err.is_err(), "type mismatch must fail");
         input.recycle(&arena);
         assert_eq!(
@@ -247,11 +274,19 @@ fn injected_eval_failure_strands_nothing_in_worker_arenas() {
         ]));
         let gmap = builder_for(&good).filter_map(good.root(), &[basilisk_core::Tag::empty()]);
         let input = base("t", ROWS, &arena);
-        let out = tagged_filter(&cx, &ts, &input, &good, &gmap).unwrap();
+        let out = rows(tagged_filter(&cx, &ts, &input, &good, &gmap, None).unwrap());
         input.recycle(&arena);
         out.recycle(&arena);
         assert_eq!(arena.outstanding(), 0);
         assert_eq!(pool.outstanding(), 0);
+    }
+}
+
+/// The relation of an operator asked for rows.
+fn rows<R>(emitted: Emit<R>) -> R {
+    match emitted {
+        Emit::Rows(rel) => rel,
+        Emit::Count(n) => panic!("asked for rows, got a count of {n}"),
     }
 }
 
@@ -281,7 +316,7 @@ fn empty_relations_parallel() {
     let map = builder.filter_map(tree.atom_ids()[0], &[basilisk_core::Tag::empty()]);
     let cx = parallel(&arena, &pool);
     let input = base("t", 0, &arena);
-    let filtered = tagged_filter(&cx, &ts, &input, &tree, &map).unwrap();
+    let filtered = rows(tagged_filter(&cx, &ts, &input, &tree, &map, None).unwrap());
     assert_eq!(filtered.num_tuples(), 0);
     assert_eq!(filtered.num_slices(), 0);
     input.recycle(&arena);
@@ -292,16 +327,19 @@ fn empty_relations_parallel() {
     );
     let l = base("t", 0, &arena);
     let r = base("mi", 0, &arena);
-    let joined = tagged_join(
-        &cx,
-        &ts,
-        &l,
-        &r,
-        &ColumnRef::new("t", "id"),
-        &ColumnRef::new("mi", "movie_id"),
-        &jm,
-    )
-    .unwrap();
+    let joined = rows(
+        tagged_join(
+            &cx,
+            &ts,
+            &l,
+            &r,
+            &ColumnRef::new("t", "id"),
+            &ColumnRef::new("mi", "movie_id"),
+            &jm,
+            None,
+        )
+        .unwrap(),
+    );
     assert_eq!(joined.num_tuples(), 0);
     l.recycle(&arena);
     r.recycle(&arena);

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use basilisk_core::{tagged_filter, Tag, TagMapBuilder, TagMapStrategy, TaggedRelation};
-use basilisk_exec::{filter, ExecCtx, IdxRelation, TableSet};
+use basilisk_exec::{filter, Emit, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::eval::MapProvider;
 use basilisk_expr::{and, col, or, ColumnRef, PredicateTree};
 use basilisk_storage::{ColumnBuilder, TableBuilder};
@@ -118,7 +118,7 @@ fn traced_tagged_filter_atoms_cover_the_evaluated_union() {
         &MaskArena::new(),
     );
     let root = traced(|cx| {
-        let out = tagged_filter(cx, &ts, &base, &tree, &map).unwrap();
+        let out = rows(tagged_filter(cx, &ts, &base, &tree, &map, None).unwrap());
         out.recycle(cx.arena);
     });
     // The filter subtree is one atom; the base slice is full; 2008,
@@ -136,7 +136,7 @@ fn traced_filter_atoms_cover_every_tuple() {
     ]));
     let rel = IdxRelation::base_in("t", 5, &MaskArena::new());
     let root = traced(|cx| {
-        let out = filter(cx, &ts, &rel, &tree, tree.root()).unwrap();
+        let out = rows(filter(cx, &ts, &rel, &tree, tree.root(), false).unwrap());
         out.recycle(cx.arena);
     });
     // 2008 and 2001 for the first atom, 1972 for the second.
@@ -147,4 +147,12 @@ fn traced_filter_atoms_cover_every_tuple() {
             ("t.year < 1980".into(), [5, 0, 1, 0])
         ]
     );
+}
+
+/// The relation of an operator asked for rows.
+fn rows<R>(emitted: Emit<R>) -> R {
+    match emitted {
+        Emit::Rows(rel) => rel,
+        Emit::Count(n) => panic!("asked for rows, got a count of {n}"),
+    }
 }

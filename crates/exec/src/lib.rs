@@ -19,5 +19,5 @@ mod relation;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, JoinTable};
 pub use ops::{combine, filter, hash_join, project_in, union_all_dedup};
-pub use par::ExecCtx;
+pub use par::{Emit, ExecCtx};
 pub use relation::{join_key, IdxRelation, RelProvider, TableSet};

@@ -7,7 +7,7 @@ use basilisk_storage::Column;
 use basilisk_types::{BasiliskError, MaskArena, Result};
 
 use crate::hash::JoinTable;
-use crate::par::{probe_range, ExecCtx};
+use crate::par::{probe_range, Emit, ExecCtx};
 use crate::relation::{IdxRelation, RelProvider, TableSet};
 
 /// Filter: evaluate a predicate-tree node over the relation and keep the
@@ -19,14 +19,16 @@ use crate::relation::{IdxRelation, RelProvider, TableSet};
 /// morsel-parallel on `cx.pool` when the relation warrants it (see
 /// [`ExecCtx::eval_mask`]), identical output either way. All scratch (the
 /// all-ones selection, the result mask, the index decode buffer) comes
-/// from `cx.arena` and is recycled before returning.
+/// from `cx.arena` and is recycled before returning. With `count` the
+/// filter only counts the mask's true lanes ([`Emit::Count`]).
 pub fn filter(
     cx: &ExecCtx<'_>,
     tables: &TableSet,
     relation: &IdxRelation,
     tree: &PredicateTree,
     node: ExprId,
-) -> Result<IdxRelation> {
+    count: bool,
+) -> Result<Emit<IdxRelation>> {
     let arena = cx.arena;
     let provider = RelProvider::new(tables, relation);
     let sel = arena.bitmap_ones(relation.len());
@@ -35,7 +37,11 @@ pub fn filter(
     // failed executions must not strand pooled buffers.
     arena.recycle_bitmap(sel);
     let mask = mask?;
-    let out = relation.select_bitmap_in(mask.trues(), arena);
+    let out = if count {
+        Emit::Count(mask.trues().count_ones())
+    } else {
+        Emit::Rows(relation.select_bitmap_in(mask.trues(), arena))
+    };
     arena.recycle_mask(mask);
     Ok(out)
 }
@@ -50,7 +56,9 @@ pub fn filter(
 /// partitioned over `cx.pool` when the probe side warrants it, per-chunk
 /// match lists concatenated in chunk order, so output is identical to
 /// the serial join. Selection vectors are pooled scratch and the output
-/// columns come from the arena's column pool.
+/// columns come from the arena's column pool. With `count` the same
+/// probe only counts matches ([`Emit::Count`]): no selection vectors,
+/// no `combine`.
 pub fn hash_join(
     cx: &ExecCtx<'_>,
     tables: &TableSet,
@@ -58,7 +66,8 @@ pub fn hash_join(
     right: &IdxRelation,
     left_key: &ColumnRef,
     right_key: &ColumnRef,
-) -> Result<IdxRelation> {
+    count: bool,
+) -> Result<Emit<IdxRelation>> {
     let arena = cx.arena;
     if !left.covers(&left_key.table) || !right.covers(&right_key.table) {
         return Err(BasiliskError::Exec(format!(
@@ -91,11 +100,18 @@ pub fn hash_join(
     let table = JoinTable::build(&build_col, |i| i as u32);
     build_col.recycle(arena);
 
-    let probed = cx.probe(probe.len(), |range, [build_sel, probe_sel]| {
-        probe_range(&table, &probe_col, range, build_sel, probe_sel)
+    let probed = cx.probe(probe.len(), count, |range, out| match out {
+        Emit::Rows([build_sel, probe_sel]) => probe_range(&table, &probe_col, range, |j, rows| {
+            build_sel.extend_from_slice(rows);
+            probe_sel.extend(std::iter::repeat_n(j, rows.len()));
+        }),
+        Emit::Count(n) => probe_range(&table, &probe_col, range, |_, rows| *n += rows.len()),
     });
     probe_col.recycle(arena);
-    let [build_sel, probe_sel] = probed?;
+    let [build_sel, probe_sel] = match probed? {
+        Emit::Rows(lists) => lists,
+        Emit::Count(n) => return Ok(Emit::Count(n)),
+    };
 
     let (left_sel, right_sel) = if build_left {
         (&build_sel, &probe_sel)
@@ -105,7 +121,7 @@ pub fn hash_join(
     let out = combine(left, right, left_sel, right_sel, arena);
     arena.recycle_indices(build_sel);
     arena.recycle_indices(probe_sel);
-    Ok(out)
+    Ok(Emit::Rows(out))
 }
 
 /// Assemble the joined relation from per-side tuple selections: every
@@ -305,13 +321,36 @@ mod tests {
         IdxRelation::base_in(alias, rows, &MaskArena::new())
     }
 
+    /// The relation of an operator asked for rows.
+    fn rows(emitted: Result<Emit<IdxRelation>>) -> IdxRelation {
+        match emitted.unwrap() {
+            Emit::Rows(rel) => rel,
+            Emit::Count(n) => panic!("asked for rows, got a count of {n}"),
+        }
+    }
+
+    /// The count of an operator asked for a count.
+    fn counted(emitted: Result<Emit<IdxRelation>>) -> usize {
+        match emitted.unwrap() {
+            Emit::Count(n) => n,
+            Emit::Rows(_) => panic!("asked for a count, got rows"),
+        }
+    }
+
     #[test]
     fn filter_keeps_true_rows() {
         let ts = tset();
         let rel = base("t", 5);
         let tree = PredicateTree::build(&col("t", "year").gt(2000i64));
         let arena = MaskArena::new();
-        let out = filter(&ExecCtx::serial(&arena), &ts, &rel, &tree, tree.root()).unwrap();
+        let out = rows(filter(
+            &ExecCtx::serial(&arena),
+            &ts,
+            &rel,
+            &tree,
+            tree.root(),
+            false,
+        ));
         assert_eq!(out.len(), 2);
         assert_eq!(**out.col("t").unwrap(), vec![0, 1]);
     }
@@ -326,8 +365,16 @@ mod tests {
         ]);
         let tree = PredicateTree::build(&e);
         let arena = MaskArena::new();
-        let out = filter(&ExecCtx::serial(&arena), &ts, &rel, &tree, tree.root()).unwrap();
+        let cx = ExecCtx::serial(&arena);
+        let out = rows(filter(&cx, &ts, &rel, &tree, tree.root(), false));
         assert_eq!(out.len(), 3); // 2008, 2001, 1972
+        assert_eq!(counted(filter(&cx, &ts, &rel, &tree, tree.root(), true)), 3);
+        out.recycle(&arena);
+        assert_eq!(
+            arena.outstanding(),
+            0,
+            "a count keeps no buffer checked out"
+        );
     }
 
     #[test]
@@ -336,17 +383,21 @@ mod tests {
         let t = base("t", 5);
         let s = base("s", 5);
         let arena = MaskArena::new();
-        let out = hash_join(
-            &ExecCtx::serial(&arena),
-            &ts,
-            &t,
-            &s,
-            &ColumnRef::new("t", "id"),
-            &ColumnRef::new("s", "movie_id"),
-        )
-        .unwrap();
+        let join = |count| {
+            hash_join(
+                &ExecCtx::serial(&arena),
+                &ts,
+                &t,
+                &s,
+                &ColumnRef::new("t", "id"),
+                &ColumnRef::new("s", "movie_id"),
+                count,
+            )
+        };
+        let out = rows(join(false));
         // t ids 1..5 join s movie_ids {1,3,4,5,6} → 4 matches.
         assert_eq!(out.len(), 4);
+        assert_eq!(counted(join(true)), 4, "counting sees the same matches");
         assert_eq!(out.tables(), &["t".to_string(), "s".to_string()]);
         // verify a concrete pair: t.id=1 ↔ s.movie_id=1
         let tcol = out.col("t").unwrap();
@@ -367,16 +418,19 @@ mod tests {
         let r = Arc::new(b.finish().unwrap());
         let ts = TableSet::from_tables(vec![("l".into(), l), ("r".into(), r)]);
         let arena = MaskArena::new();
-        let out = hash_join(
-            &ExecCtx::serial(&arena),
-            &ts,
-            &base("l", 2),
-            &base("r", 2),
-            &ColumnRef::new("l", "k"),
-            &ColumnRef::new("r", "k"),
-        )
-        .unwrap();
-        assert_eq!(out.len(), 1, "only the 1=1 pair; NULL≠NULL");
+        for count in [false, true] {
+            let out = hash_join(
+                &ExecCtx::serial(&arena),
+                &ts,
+                &base("l", 2),
+                &base("r", 2),
+                &ColumnRef::new("l", "k"),
+                &ColumnRef::new("r", "k"),
+                count,
+            );
+            let n = if count { counted(out) } else { rows(out).len() };
+            assert_eq!(n, 1, "only the 1=1 pair; NULL≠NULL");
+        }
     }
 
     #[test]
@@ -392,6 +446,7 @@ mod tests {
             &s,
             &ColumnRef::new("s", "movie_id"),
             &ColumnRef::new("t", "id"),
+            false,
         )
         .is_err());
     }
@@ -418,8 +473,8 @@ mod tests {
         let rk = ColumnRef::new("s", "movie_id");
         let arena = MaskArena::new();
         let cx = ExecCtx::serial(&arena);
-        let ab = hash_join(&cx, &ts, &t, &s, &lk, &rk).unwrap();
-        let ba = hash_join(&cx, &ts, &s, &t, &rk, &lk).unwrap();
+        let ab = rows(hash_join(&cx, &ts, &t, &s, &lk, &rk, false));
+        let ba = rows(hash_join(&cx, &ts, &s, &t, &rk, &lk, false));
         let u = union_all_dedup(&[ab.clone(), ba], &arena).unwrap();
         assert_eq!(u.len(), ab.len(), "identical content dedups fully");
     }
@@ -521,15 +576,15 @@ mod tests {
         let ts = tset();
         let arena = MaskArena::new();
         let cx = ExecCtx::serial(&arena);
-        let joined = hash_join(
+        let joined = rows(hash_join(
             &cx,
             &ts,
             &base("t", 5),
             &base("s", 5),
             &ColumnRef::new("t", "id"),
             &ColumnRef::new("s", "movie_id"),
-        )
-        .unwrap();
+            false,
+        ));
         let q1 = or(vec![
             and(vec![
                 col("t", "year").gt(2000i64),
@@ -541,7 +596,7 @@ mod tests {
             ]),
         ]);
         let tree = PredicateTree::build(&q1);
-        let out = filter(&cx, &ts, &joined, &tree, tree.root()).unwrap();
+        let out = rows(filter(&cx, &ts, &joined, &tree, tree.root(), false));
         // Matches: (1,2008,9.0) via both clauses; (3,1994,9.3) and
         // (4,1994,8.9) via clause 2. Movie 5 (1972) fails both.
         assert_eq!(out.len(), 3);

@@ -10,11 +10,12 @@
 //! join probe into chunks, each run on the pool's workers against
 //! per-worker arenas and merged **in morsel order** — word-range
 //! stitching for masks (disjoint word ranges mean the merge is
-//! concatenation, not re-intersection) and ordered concatenation for
-//! join match lists — so parallel output is indistinguishable from
-//! serial output. Both take the serial kernel directly when there is no
-//! pool or the input fits one morsel, which is why `workers == 1` *is*
-//! the serial engine, bit for bit.
+//! concatenation, not re-intersection) and an in-order fold of what each
+//! probe chunk [`Emit`]ted — concatenated match lists, or summed match
+//! counts when the join is the root of a `COUNT(*)` plan — so parallel
+//! output is indistinguishable from serial output. Both take the serial
+//! kernel directly when there is no pool or the input fits one morsel,
+//! which is why `workers == 1` *is* the serial engine, bit for bit.
 //!
 //! Arena discipline (see `basilisk-sched`): workers check scratch out of
 //! *their own* arena; per-morsel results ride back to the coordinating
@@ -125,24 +126,32 @@ impl<'a> ExecCtx<'a> {
         out
     }
 
-    /// Run a join probe over `0..probe_len` and return its `N` parallel
-    /// match lists, checked out of the session arena (the caller
-    /// recycles them with `recycle_indices`). `probe` appends the
-    /// matches of one contiguous range of probe positions to the lists
-    /// it is handed; serially it runs once over the whole range,
-    /// straight into the output lists, and when the probe side fans out
-    /// it runs per morsel-sized chunk into worker-arena lists that are
-    /// concatenated **in chunk order** — the order the serial loop
-    /// emits.
+    /// Run a join probe over `0..probe_len` and return what it emitted:
+    /// `N` parallel match lists checked out of the session arena (the
+    /// caller recycles them with `recycle_indices`), or with `count`
+    /// only the number of matches. `probe` adds the matches of one
+    /// contiguous range of probe positions to the accumulator it is
+    /// handed — pushing onto [`Emit::Rows`] lists or bumping
+    /// [`Emit::Count`]. Serially it runs once over the whole range,
+    /// straight into the output; when the probe side fans out it runs
+    /// per morsel-sized chunk into a worker-arena accumulator, and the
+    /// chunks fold **in chunk order** — lists concatenate in the order
+    /// the serial loop emits, counts add.
     pub fn probe<const N: usize>(
         &self,
         probe_len: usize,
-        probe: impl Fn(std::ops::Range<usize>, &mut [Vec<u32>; N]) + Sync,
-    ) -> Result<[Vec<u32>; N]> {
-        let checkout =
-            |arena: &MaskArena| -> [Vec<u32>; N] { std::array::from_fn(|_| arena.indices()) };
+        count: bool,
+        probe: impl Fn(std::ops::Range<usize>, &mut Emit<[Vec<u32>; N]>) + Sync,
+    ) -> Result<Emit<[Vec<u32>; N]>> {
+        let start = |arena: &MaskArena| {
+            if count {
+                Emit::Count(0)
+            } else {
+                Emit::Rows(std::array::from_fn(|_| arena.indices()))
+            }
+        };
         let Some(pool) = self.fan_out(probe_len) else {
-            let mut out = checkout(self.arena);
+            let mut out = start(self.arena);
             probe(0..probe_len, &mut out);
             return Ok(out);
         };
@@ -154,26 +163,47 @@ impl<'a> ExecCtx<'a> {
         let results = pool.run(
             chunks,
             |w, range| {
-                let mut lists = checkout(w.arena);
-                probe(range, &mut lists);
-                Ok(lists)
+                let mut acc = start(w.arena);
+                probe(range, &mut acc);
+                Ok(acc)
             },
             recycle_lists,
         )?;
-        let mut out = checkout(self.arena);
-        for (worker, lists) in results {
-            for (o, l) in out.iter_mut().zip(&lists) {
-                o.extend_from_slice(l);
+        let mut out = start(self.arena);
+        for (worker, chunk) in results {
+            match (&mut out, &chunk) {
+                (Emit::Rows(out), Emit::Rows(lists)) => {
+                    for (o, l) in out.iter_mut().zip(lists) {
+                        o.extend_from_slice(l);
+                    }
+                }
+                (Emit::Count(out), Emit::Count(n)) => *out += n,
+                _ => unreachable!("every chunk starts as the probe's own output"),
             }
-            pool.with_arena(worker, |a| recycle_lists(a, lists));
+            pool.with_arena(worker, |a| recycle_lists(a, chunk));
         }
         Ok(out)
     }
 }
 
-fn recycle_lists<const N: usize>(arena: &MaskArena, lists: [Vec<u32>; N]) {
-    for l in lists {
-        arena.recycle_indices(l);
+/// What a join or a plain filter emits. The caller chooses with the
+/// operator's `count` argument: a plan's root asks for a count when its
+/// statement is `COUNT(*)`, every other operator asks for rows.
+#[derive(Debug)]
+pub enum Emit<R> {
+    /// The output relation (or, inside [`ExecCtx::probe`], the match
+    /// lists it is assembled from).
+    Rows(R),
+    /// How many tuples that output holds. Nothing was materialized: no
+    /// selection vectors, no output columns.
+    Count(usize),
+}
+
+fn recycle_lists<const N: usize>(arena: &MaskArena, emitted: Emit<[Vec<u32>; N]>) {
+    if let Emit::Rows(lists) = emitted {
+        for l in lists {
+            arena.recycle_indices(l);
+        }
     }
 }
 
@@ -224,23 +254,19 @@ fn report_atoms(
 }
 
 /// The probe half of a hash join over one contiguous range of probe
-/// positions: for each position `j` in `range`, append every matching
-/// `(build_row, j)` pair. Both the serial join and each parallel probe
-/// task run exactly this loop, so chunked outputs concatenated in range
-/// order equal the serial output.
+/// positions: hand `emit` every position `j` in `range` whose key has
+/// matches, with the build rows that match it. Both the serial join and
+/// each parallel probe task run exactly this loop, so chunked outputs
+/// folded in range order equal the serial output.
 pub(crate) fn probe_range(
     table: &JoinTable,
     probe_col: &basilisk_storage::Column,
     range: std::ops::Range<usize>,
-    build_sel: &mut Vec<u32>,
-    probe_sel: &mut Vec<u32>,
+    mut emit: impl FnMut(u32, &[u32]),
 ) {
     for j in range {
         if let Some(k) = join_key(probe_col, j) {
-            for &i in table.probe(&k) {
-                build_sel.push(i);
-                probe_sel.push(j as u32);
-            }
+            emit(j as u32, table.probe(&k));
         }
     }
 }

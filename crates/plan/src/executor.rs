@@ -1,6 +1,6 @@
-//! The plan driver: one walker, two execution models.
+//! The plan driver: one walker, two execution models, two outputs.
 //!
-//! A plan is executed by [`walk`], the only recursive traversal in this
+//! A plan is executed by [`visit`], the only recursive traversal in this
 //! module, which is generic over a [`Model`]: the model supplies the
 //! node-local steps (scan / filter / join / union over its relation
 //! type) and the walker owns everything around them, once —
@@ -24,6 +24,19 @@
 //! tagged-vs-traditional comparison measures the operators, not two
 //! interpreters.
 //!
+//! The two outputs are the result rows and, for a `COUNT(*)` statement,
+//! only their number. Both entry points take a `count` flag: children
+//! always run for rows, and only the **root operator** is asked to
+//! [`Emit::Count`]. A tagged root filter or join counts the tuples it
+//! routes to, or the matching pairs it lands in, an out tag the
+//! projection admits; a traditional root filter or join counts its
+//! mask's true lanes or its matches; a root scan or union (which needs
+//! its tuples to dedup) produces its relation and counts what the final
+//! selection would keep — for tagged relations the popcounts of the
+//! admitted slices. The output relation is never materialized, and span
+//! names and shapes stay the same: the root's `rows_out` (and, on tagged
+//! plans, the `project` span's `rows_in`/`rows_out`) is the count.
+//!
 //! Arena discipline: every operator draws its mask/bitmap scratch from
 //! the context's [`MaskArena`], and with the arena's
 //! [`ColumnPool`](basilisk_types::ColumnPool) serving scan identities,
@@ -38,7 +51,7 @@ use basilisk_core::{
     tagged_filter, tagged_join, tagged_select_final, FilterTagMap, JoinTagMap, ProjectionTags,
     TaggedRelation,
 };
-use basilisk_exec::{filter, hash_join, union_all_dedup, ExecCtx, IdxRelation, TableSet};
+use basilisk_exec::{filter, hash_join, union_all_dedup, Emit, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_sched::{last_region_id, WorkerPool};
 use basilisk_types::{BasiliskError, MaskArena, Result, SpanId, Tracer};
@@ -71,8 +84,15 @@ trait Model: Sync {
     fn node(plan: &Self::Plan) -> Node<'_, Self>;
 
     fn scan(&self, cx: &ExecCtx<'_>, alias: &str) -> Result<Self::Rel>;
-    fn filter(&self, cx: &ExecCtx<'_>, op: &Self::FilterOp, input: &Self::Rel)
-        -> Result<Self::Rel>;
+    /// `count` asks the root filter or join to [`Emit::Count`] instead
+    /// of building its output.
+    fn filter(
+        &self,
+        cx: &ExecCtx<'_>,
+        op: &Self::FilterOp,
+        input: &Self::Rel,
+        count: bool,
+    ) -> Result<Emit<Self::Rel>>;
     fn join(
         &self,
         cx: &ExecCtx<'_>,
@@ -80,8 +100,12 @@ trait Model: Sync {
         op: &Self::JoinOp,
         left: &Self::Rel,
         right: &Self::Rel,
-    ) -> Result<Self::Rel>;
+        count: bool,
+    ) -> Result<Emit<Self::Rel>>;
     fn union(&self, cx: &ExecCtx<'_>, inputs: &[Self::Rel]) -> Result<Self::Rel>;
+    /// Consume a root relation that could not count itself (a scan, a
+    /// union), returning how many of its tuples the output keeps.
+    fn count(&self, cx: &ExecCtx<'_>, rel: Self::Rel) -> usize;
 
     /// Length of the underlying index relation — what decides fan-out.
     fn rows(rel: &Self::Rel) -> usize;
@@ -91,10 +115,12 @@ trait Model: Sync {
 }
 
 /// The tagged model (§2): filters re-label slices, joins dispatch through
-/// tag maps, the relation is never rewritten.
+/// tag maps, the relation is never rewritten. `projection` is the tag
+/// set the final selection admits (§2.4) — what a count counts.
 struct Tagged<'a> {
     tables: &'a TableSet,
     tree: &'a PredicateTree,
+    projection: &'a ProjectionTags,
 }
 
 impl Model for Tagged<'_> {
@@ -132,8 +158,10 @@ impl Model for Tagged<'_> {
         cx: &ExecCtx<'_>,
         map: &FilterTagMap,
         input: &TaggedRelation,
-    ) -> Result<TaggedRelation> {
-        tagged_filter(cx, self.tables, input, self.tree, map)
+        count: bool,
+    ) -> Result<Emit<TaggedRelation>> {
+        let admitted = count.then_some(self.projection);
+        tagged_filter(cx, self.tables, input, self.tree, map, admitted)
     }
 
     fn join(
@@ -143,12 +171,24 @@ impl Model for Tagged<'_> {
         map: &JoinTagMap,
         left: &TaggedRelation,
         right: &TaggedRelation,
-    ) -> Result<TaggedRelation> {
-        tagged_join(cx, self.tables, left, right, &cond.left, &cond.right, map)
+        count: bool,
+    ) -> Result<Emit<TaggedRelation>> {
+        let (l, r) = (&cond.left, &cond.right);
+        let admitted = count.then_some(self.projection);
+        tagged_join(cx, self.tables, left, right, l, r, map, admitted)
     }
 
     fn union(&self, _: &ExecCtx<'_>, _: &[TaggedRelation]) -> Result<TaggedRelation> {
         Err(BasiliskError::Plan("tagged plans have no union".into()))
+    }
+
+    fn count(&self, cx: &ExecCtx<'_>, rel: TaggedRelation) -> usize {
+        let n = emitted(
+            tagged_select_final(&rel, self.projection, cx.arena, true),
+            cx.arena,
+        );
+        rel.recycle(cx.arena);
+        n
     }
 
     fn rows(rel: &TaggedRelation) -> usize {
@@ -201,8 +241,14 @@ impl Model for Traditional<'_> {
         ))
     }
 
-    fn filter(&self, cx: &ExecCtx<'_>, node: &ExprId, input: &IdxRelation) -> Result<IdxRelation> {
-        filter(cx, self.tables, input, self.predicate()?, *node)
+    fn filter(
+        &self,
+        cx: &ExecCtx<'_>,
+        node: &ExprId,
+        input: &IdxRelation,
+        count: bool,
+    ) -> Result<Emit<IdxRelation>> {
+        filter(cx, self.tables, input, self.predicate()?, *node, count)
     }
 
     fn join(
@@ -212,8 +258,9 @@ impl Model for Traditional<'_> {
         _: &(),
         left: &IdxRelation,
         right: &IdxRelation,
-    ) -> Result<IdxRelation> {
-        hash_join(cx, self.tables, left, right, &cond.left, &cond.right)
+        count: bool,
+    ) -> Result<Emit<IdxRelation>> {
+        hash_join(cx, self.tables, left, right, &cond.left, &cond.right, count)
     }
 
     /// Deduplicates serially on the coordinator (the dedup table is
@@ -222,6 +269,10 @@ impl Model for Traditional<'_> {
     /// been produced concurrently — bit-for-bit the serial order.
     fn union(&self, cx: &ExecCtx<'_>, inputs: &[IdxRelation]) -> Result<IdxRelation> {
         union_all_dedup(inputs, cx.arena)
+    }
+
+    fn count(&self, cx: &ExecCtx<'_>, rel: IdxRelation) -> usize {
+        emitted(Emit::Rows(rel), cx.arena)
     }
 
     fn rows(rel: &IdxRelation) -> usize {
@@ -241,6 +292,19 @@ impl<'a> Traditional<'a> {
     fn predicate(&self) -> Result<&'a PredicateTree> {
         self.tree
             .ok_or_else(|| BasiliskError::Plan("filter node in a predicate-free plan".into()))
+    }
+}
+
+/// How many tuples an index-relation output holds, recycling the
+/// relation if one was materialized.
+fn emitted(out: Emit<IdxRelation>, arena: &MaskArena) -> usize {
+    match out {
+        Emit::Rows(rel) => {
+            let n = rel.len();
+            rel.recycle(arena);
+            n
+        }
+        Emit::Count(n) => n,
     }
 }
 
@@ -367,8 +431,18 @@ fn run_children<M: Model>(
     }
 }
 
-/// Execute the subtree rooted at `plan` under model `m`.
+/// Execute the subtree rooted at `plan` under model `m` for its rows.
 fn walk<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan) -> Result<M::Rel> {
+    match visit(m, cx, plan, false)? {
+        Emit::Rows(rel) => Ok(rel),
+        Emit::Count(_) => unreachable!("only a count is answered with a count"),
+    }
+}
+
+/// Execute the subtree rooted at `plan` under model `m`. Its children
+/// run for their rows; with `count` the node itself emits only how many
+/// tuples the statement's output would keep (see the module docs).
+fn visit<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan, count: bool) -> Result<Emit<M::Rel>> {
     let node = M::node(plan);
     let (name, children): (_, Vec<&M::Plan>) = match &node {
         Node::Scan(_) => ("scan", vec![]),
@@ -382,11 +456,15 @@ fn walk<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan) -> Result<M::Rel> {
     let inputs = run_children(m, cx, &children)?;
     let rels = &inputs.rels;
     let out = match &node {
-        Node::Scan(alias) => m.scan(cx, alias),
-        Node::Filter(op, _) => m.filter(cx, op, &rels[0]),
-        Node::Join(cond, op, ..) => m.join(cx, cond, op, &rels[0], &rels[1]),
-        Node::Union(_) => m.union(cx, rels),
-    };
+        Node::Scan(alias) => m.scan(cx, alias).map(Emit::Rows),
+        Node::Filter(op, _) => m.filter(cx, op, &rels[0], count),
+        Node::Join(cond, op, ..) => m.join(cx, cond, op, &rels[0], &rels[1], count),
+        Node::Union(_) => m.union(cx, rels).map(Emit::Rows),
+    }
+    .map(|out| match out {
+        Emit::Rows(rel) if count => Emit::Count(m.count(cx, rel)),
+        out => out,
+    });
     if let Some((t, s)) = span {
         // Filters and joins fan out by their largest input; scans and
         // the (serial) union dedup never do.
@@ -394,11 +472,16 @@ fn walk<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan) -> Result<M::Rel> {
             Node::Union(_) => 0,
             _ => rels.iter().map(M::rows).max().unwrap_or(0),
         };
+        let rows_out = match &out {
+            Ok(Emit::Rows(rel)) => M::tuples(rel),
+            Ok(Emit::Count(n)) => *n,
+            Err(_) => 0,
+        };
         span_finish(
             (t, s),
             cx.pool,
             rels.iter().map(M::tuples).sum(),
-            out.as_ref().map_or(0, M::tuples),
+            rows_out,
             fan_rows,
         );
     }
@@ -407,7 +490,7 @@ fn walk<M: Model>(m: &M, cx: &ExecCtx<'_>, plan: &M::Plan) -> Result<M::Rel> {
 }
 
 /// Execute a tagged physical plan, returning the final (projected) index
-/// relation.
+/// relation — or, with `count`, only how many tuples it holds.
 ///
 /// With `cx.pool` every filter evaluates morsel-parallel and every join
 /// probes partitioned (per relation, when it is large enough to fan
@@ -424,29 +507,53 @@ pub fn execute_tagged(
     projection: &ProjectionTags,
     tables: &TableSet,
     tree: &PredicateTree,
-) -> Result<IdxRelation> {
-    let rel = walk(&Tagged { tables, tree }, cx, plan)?;
+    count: bool,
+) -> Result<Emit<IdxRelation>> {
+    let root = visit(
+        &Tagged {
+            tables,
+            tree,
+            projection,
+        },
+        cx,
+        plan,
+        count,
+    )?;
     let span = cx.tracer.map(|t| (t, t.begin("project")));
-    let out = tagged_select_final(&rel, projection, cx.arena);
+    let (rows_in, out) = match &root {
+        Emit::Rows(rel) => (
+            span.map_or(0, |_| rel.num_tagged_tuples()),
+            tagged_select_final(rel, projection, cx.arena, false),
+        ),
+        // The root already counted what this selection would keep.
+        Emit::Count(n) => (*n, Emit::Count(*n)),
+    };
     if let Some(span) = span {
-        span_finish(span, None, rel.num_tagged_tuples(), out.len(), 0);
+        let rows_out = match &out {
+            Emit::Rows(rel) => rel.len(),
+            Emit::Count(n) => *n,
+        };
+        span_finish(span, None, rows_in, rows_out, 0);
     }
-    rel.recycle(cx.arena);
+    if let Emit::Rows(rel) = root {
+        rel.recycle(cx.arena);
+    }
     Ok(out)
 }
 
 /// Execute an abstract plan under the traditional model (see
-/// [`execute_tagged`] for what `cx` selects; the span contract is the
-/// same with `filter`/`hash_join`/`union` operator names). `tree` may be
-/// `None` for a predicate-free plan; meeting a filter node without one
-/// is a [`BasiliskError::Plan`].
+/// [`execute_tagged`] for what `cx` and `count` select; the span
+/// contract is the same with `filter`/`hash_join`/`union` operator
+/// names). `tree` may be `None` for a predicate-free plan; meeting a
+/// filter node without one is a [`BasiliskError::Plan`].
 pub fn execute_traditional(
     cx: &ExecCtx<'_>,
     plan: &APlan,
     tables: &TableSet,
     tree: Option<&PredicateTree>,
-) -> Result<IdxRelation> {
-    walk(&Traditional { tables, tree }, cx, plan)
+    count: bool,
+) -> Result<Emit<IdxRelation>> {
+    visit(&Traditional { tables, tree }, cx, plan, count)
 }
 
 #[cfg(test)]
@@ -461,6 +568,22 @@ mod tests {
 
     fn arena() -> MaskArena {
         MaskArena::new()
+    }
+
+    /// The rows of a plan executed for its rows.
+    fn rows(out: Result<Emit<IdxRelation>>) -> IdxRelation {
+        match out.unwrap() {
+            Emit::Rows(rel) => rel,
+            Emit::Count(n) => panic!("asked for rows, got a count of {n}"),
+        }
+    }
+
+    /// The count of a plan executed for its count.
+    fn counted(out: Result<Emit<IdxRelation>>) -> usize {
+        match out.unwrap() {
+            Emit::Count(n) => n,
+            Emit::Rows(_) => panic!("asked for a count, got rows"),
+        }
     }
 
     fn setup() -> (Catalog, TableSet, Estimator, PredicateTree) {
@@ -565,9 +688,21 @@ mod tests {
         let ann = pushed(&tree, &est);
         let a = arena();
         let cx = ExecCtx::serial(&a);
-        let got = execute_tagged(&cx, &ann.plan, &ann.projection, &tables, &tree).unwrap();
-        let expected =
-            execute_traditional(&cx, &join_then_filter(&tree), &tables, Some(&tree)).unwrap();
+        let got = rows(execute_tagged(
+            &cx,
+            &ann.plan,
+            &ann.projection,
+            &tables,
+            &tree,
+            false,
+        ));
+        let expected = rows(execute_traditional(
+            &cx,
+            &join_then_filter(&tree),
+            &tables,
+            Some(&tree),
+            false,
+        ));
 
         let mut g: Vec<(u32, u32)> = (0..got.len())
             .map(|i| (got.col("t").unwrap()[i], got.col("mi").unwrap()[i]))
@@ -596,14 +731,27 @@ mod tests {
         let ann = pushed(&tree, &est);
         let a = arena();
         let cx = ExecCtx::serial(&a);
-        let untraced = execute_tagged(&cx, &ann.plan, &ann.projection, &tables, &tree).unwrap();
+        let untraced = rows(execute_tagged(
+            &cx,
+            &ann.plan,
+            &ann.projection,
+            &tables,
+            &tree,
+            false,
+        ));
         let tracer = Tracer::new();
         let traced_cx = ExecCtx {
             tracer: Some(&tracer),
             ..cx
         };
-        let traced =
-            execute_tagged(&traced_cx, &ann.plan, &ann.projection, &tables, &tree).unwrap();
+        let traced = rows(execute_tagged(
+            &traced_cx,
+            &ann.plan,
+            &ann.projection,
+            &tables,
+            &tree,
+            false,
+        ));
         assert_eq!(traced.len(), untraced.len());
         for alias in ["t", "mi"] {
             let got: Vec<u32> = (0..traced.len())
@@ -652,13 +800,19 @@ mod tests {
         let u = union_of_clauses(&tree);
         let a = arena();
         let cx = ExecCtx::serial(&a);
-        let untraced = execute_traditional(&cx, &u, &tables, Some(&tree)).unwrap();
+        let untraced = rows(execute_traditional(&cx, &u, &tables, Some(&tree), false));
         let tracer = Tracer::new();
         let traced_cx = ExecCtx {
             tracer: Some(&tracer),
             ..cx
         };
-        let traced = execute_traditional(&traced_cx, &u, &tables, Some(&tree)).unwrap();
+        let traced = rows(execute_traditional(
+            &traced_cx,
+            &u,
+            &tables,
+            Some(&tree),
+            false,
+        ));
         assert_eq!(traced.len(), untraced.len());
 
         let root = tracer.finish();
@@ -683,9 +837,20 @@ mod tests {
         let (_cat, tables, _est, tree) = setup();
         let a = arena();
         let cx = ExecCtx::serial(&a);
-        let got = execute_traditional(&cx, &union_of_clauses(&tree), &tables, Some(&tree)).unwrap();
-        let expected =
-            execute_traditional(&cx, &join_then_filter(&tree), &tables, Some(&tree)).unwrap();
+        let got = rows(execute_traditional(
+            &cx,
+            &union_of_clauses(&tree),
+            &tables,
+            Some(&tree),
+            false,
+        ));
+        let expected = rows(execute_traditional(
+            &cx,
+            &join_then_filter(&tree),
+            &tables,
+            Some(&tree),
+            false,
+        ));
         assert_eq!(got.len(), expected.len());
     }
 
@@ -695,13 +860,77 @@ mod tests {
     fn filter_without_a_predicate_tree_is_a_plan_error() {
         let (_cat, tables, _est, tree) = setup();
         let a = arena();
-        let err = execute_traditional(
-            &ExecCtx::serial(&a),
-            &join_then_filter(&tree),
-            &tables,
-            None,
+        for count in [false, true] {
+            let err = execute_traditional(
+                &ExecCtx::serial(&a),
+                &join_then_filter(&tree),
+                &tables,
+                None,
+                count,
+            );
+            assert!(matches!(err, Err(BasiliskError::Plan(_))));
+            assert_eq!(a.outstanding(), 0, "the join below the filter was recycled");
+        }
+    }
+
+    /// A count runs the plan to its root and counts there: the same
+    /// number the rows path returns, for a tagged root join, a traditional
+    /// root filter and a root union — with the rows path's span names,
+    /// the count as the root's `rows_out`, and on tagged plans a
+    /// `project` span carrying it in and out.
+    #[test]
+    fn counts_equal_rows_with_the_same_spans() {
+        let (_cat, tables, est, tree) = setup();
+        let ann = pushed(&tree, &est);
+        let a = arena();
+        let cx = ExecCtx::serial(&a);
+        let tracer = Tracer::new();
+        let traced_cx = ExecCtx {
+            tracer: Some(&tracer),
+            ..cx
+        };
+
+        let (plan, proj) = (&ann.plan, &ann.projection);
+        let out = rows(execute_tagged(&cx, plan, proj, &tables, &tree, false));
+        let want = out.len();
+        out.recycle(&a);
+        assert_eq!(
+            counted(execute_tagged(&cx, plan, proj, &tables, &tree, true)),
+            want
         );
-        assert!(matches!(err, Err(BasiliskError::Plan(_))));
-        assert_eq!(a.outstanding(), 0, "the join below the filter was recycled");
+        let n = counted(execute_tagged(&traced_cx, plan, proj, &tables, &tree, true));
+        assert_eq!(n, want, "traced count equals untraced");
+        let root = tracer.finish();
+        assert!(root.is_well_formed());
+        let join = root.child("tagged_join").expect("root operator span");
+        assert_eq!(join.int("rows_out"), Some(want as i64));
+        assert_eq!(root.descendants("tagged_filter").len(), 4);
+        let project = root.child("project").expect("projection span");
+        assert_eq!(project.int("rows_in"), Some(want as i64));
+        assert_eq!(project.int("rows_out"), Some(want as i64));
+
+        for plan in [join_then_filter(&tree), union_of_clauses(&tree)] {
+            let out = rows(execute_traditional(&cx, &plan, &tables, Some(&tree), false));
+            let want = out.len();
+            out.recycle(&a);
+            let tracer = Tracer::new();
+            let traced_cx = ExecCtx {
+                tracer: Some(&tracer),
+                ..cx
+            };
+            let n = counted(execute_traditional(
+                &traced_cx,
+                &plan,
+                &tables,
+                Some(&tree),
+                true,
+            ));
+            assert_eq!(n, want);
+            let root = tracer.finish();
+            assert!(root.is_well_formed());
+            assert_eq!(root.children.len(), 1, "one root operator, no project");
+            assert_eq!(root.children[0].int("rows_out"), Some(want as i64));
+        }
+        assert_eq!(a.outstanding(), 0, "counting strands nothing");
     }
 }

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use basilisk_catalog::{Catalog, Estimator};
 use basilisk_core::{TagMapBuilder, TagMapStrategy};
-use basilisk_exec::{project_in, ExecCtx, IdxRelation, TableSet};
+use basilisk_exec::{project_in, Emit, ExecCtx, IdxRelation, TableSet};
 use basilisk_expr::{ColumnRef, PredicateTree};
 use basilisk_sched::WorkerPool;
 use basilisk_storage::Column;
@@ -430,19 +430,52 @@ impl QuerySession {
     /// [`execute_tagged`](crate::execute_tagged). Output is bit-for-bit
     /// identical to the untraced run.
     pub fn execute_traced(&self, plan: &Plan, tracer: Option<&Tracer>) -> Result<QueryOutput> {
+        let rows = match self.run_plan(plan, tracer, false)? {
+            Emit::Rows(rows) => rows,
+            Emit::Count(_) => unreachable!("only a count is answered with a count"),
+        };
+        // The output's index columns are pooled buffers that now escape
+        // to the caller; park a handle so the pool can reclaim them via
+        // `Arc::try_unwrap` once the caller releases the result.
+        for col in rows.cols() {
+            self.ctx.arena.columns().defer(std::sync::Arc::clone(col));
+        }
+        Ok(QueryOutput { rows })
+    }
+
+    /// How many rows [`Self::execute`] would return, without
+    /// materializing any of them: the plan runs to its root operator,
+    /// which counts there (see the `executor` module docs) — a
+    /// `COUNT(*)` statement's answer. The span tree under `tracer` has
+    /// the same names and shape as an `execute`'s; the root operator's
+    /// `rows_out` is the count.
+    pub fn count(&self, plan: &Plan, tracer: Option<&Tracer>) -> Result<usize> {
+        match self.run_plan(plan, tracer, true)? {
+            Emit::Count(n) => Ok(n),
+            Emit::Rows(_) => unreachable!("a count is answered with a count"),
+        }
+    }
+
+    /// Drive `plan` on the session's context for its rows or its count.
+    fn run_plan(
+        &self,
+        plan: &Plan,
+        tracer: Option<&Tracer>,
+        count: bool,
+    ) -> Result<Emit<IdxRelation>> {
         // Sweep result columns deferred by earlier executions: once the
         // caller has dropped those outputs, their buffers return to the
         // pools and this run re-checks them out instead of allocating.
         self.ctx.sweep();
-        let arena = &self.ctx.arena;
         let pool = &*self.ctx.pool;
         let cx = ExecCtx {
-            arena,
+            arena: &self.ctx.arena,
             pool: (pool.workers() > 1).then_some(pool),
             tracer,
         };
-        let rows = match plan {
-            Plan::JoinOnly(aplan) => execute_traditional(&cx, aplan, &self.tables, None)?,
+        let tables = &self.tables;
+        match plan {
+            Plan::JoinOnly(aplan) => execute_traditional(&cx, aplan, tables, None, count),
             Plan::WithPredicate(p) => {
                 let tree = self
                     .tree
@@ -450,21 +483,14 @@ impl QuerySession {
                     .ok_or_else(|| BasiliskError::Plan("plan/session mismatch".into()))?;
                 match p {
                     PlannedQuery::Tagged { ann, .. } => {
-                        execute_tagged(&cx, &ann.plan, &ann.projection, &self.tables, tree)?
+                        execute_tagged(&cx, &ann.plan, &ann.projection, tables, tree, count)
                     }
                     PlannedQuery::Traditional { aplan, .. } => {
-                        execute_traditional(&cx, aplan, &self.tables, Some(tree))?
+                        execute_traditional(&cx, aplan, tables, Some(tree), count)
                     }
                 }
             }
-        };
-        // The output's index columns are pooled buffers that now escape
-        // to the caller; park a handle so the pool can reclaim them via
-        // `Arc::try_unwrap` once the caller releases the result.
-        for col in rows.cols() {
-            arena.columns().defer(std::sync::Arc::clone(col));
         }
-        Ok(QueryOutput { rows })
     }
 
     /// Plan + execute, reporting the timing split.

@@ -22,6 +22,7 @@ use basilisk_expr::{and, col, or, ColumnRef};
 use basilisk_plan::{PlannerKind, Query, QuerySession};
 use basilisk_storage::TableBuilder;
 use basilisk_types::{DataType, Value};
+use basilisk_workload::{cnf_query, dnf_query, generate_synthetic, SyntheticConfig};
 
 fn catalog(with_nulls: bool) -> Catalog {
     let mut cat = Catalog::new();
@@ -135,6 +136,26 @@ fn assert_steady_state(query: Query, kind: PlannerKind) {
         serve(&session, &plan);
         assert_eq!(session.arena_stats().fresh(), 0, "run N stays at zero");
     }
+
+    assert_count_steady_state(&session, &plan, first.len());
+}
+
+/// The count path draws on the same pools: once warm, counting `plan`
+/// checks out nothing fresh, keeps nothing outstanding, and counts
+/// `rows`.
+fn assert_count_steady_state(session: &QuerySession, plan: &basilisk_plan::Plan, rows: usize) {
+    assert_eq!(session.count(plan, None).unwrap(), rows);
+    for _ in 0..3 {
+        session.reset_arena_stats();
+        assert_eq!(session.count(plan, None).unwrap(), rows);
+        let stats = session.arena_stats();
+        assert_eq!(
+            stats.fresh(),
+            0,
+            "counting must be allocation-free ({stats:?})"
+        );
+        assert_eq!(session.arena().outstanding(), 0);
+    }
 }
 
 #[test]
@@ -171,6 +192,34 @@ fn three_valued_pipeline_is_allocation_free_in_steady_state() {
     session.reset_arena_stats();
     session.execute(&plan).unwrap();
     assert_eq!(session.arena_stats().fresh(), 0);
+}
+
+/// The §5.2 synthetic DNF over Zipf joins: tagged joins over several
+/// slices per side, whose per-tuple slice membership is pooled scratch
+/// like everything else — rows and counts alike.
+#[test]
+fn synthetic_tagged_joins_are_allocation_free_in_steady_state() {
+    let mut cat = Catalog::new();
+    let cfg = SyntheticConfig {
+        rows: 500,
+        num_attrs: 3,
+        ..SyntheticConfig::default()
+    };
+    for t in generate_synthetic(&cfg).unwrap() {
+        cat.add_table(t).unwrap();
+    }
+    for query in [dnf_query(3, 0.3, None), cnf_query(2, 0.3, None)] {
+        let session = QuerySession::new(&cat, query).unwrap().with_workers(1);
+        let plan = session.plan(PlannerKind::TPushdown).unwrap();
+        let rows = serve(&session, &plan).len();
+        serve(&session, &plan);
+        session.reset_arena_stats();
+        serve(&session, &plan);
+        let stats = session.arena_stats();
+        assert_eq!(stats.fresh(), 0, "a join run allocated ({stats:?})");
+        assert!(stats.indices.reused > 0, "membership comes from the pool");
+        assert_count_steady_state(&session, &plan, rows);
+    }
 }
 
 /// While the caller still holds a `QueryOutput`, its columns must stay

@@ -6,7 +6,8 @@
 //! finished sibling on the floor while propagating the error.
 //!
 //! One table over the walker: failing shape and execution model × serial
-//! or pooled × untraced or traced. The pooled runs use a 4-worker pool
+//! or pooled × untraced or traced × rows or count (a count runs the same
+//! children and only asks the root to count). The pooled runs use a 4-worker pool
 //! over sub-morsel tables with every join input / union child a filter
 //! (not a bare scan), so untraced they actually **ship** as tasks of one
 //! region — the sibling's buffers then live in a worker arena and must
@@ -67,8 +68,9 @@ enum Case {
     TraditionalFailingLaterUnionChild,
 }
 
-/// Run the case's plan; whether it failed, as it must.
-fn fails(case: Case, cx: &ExecCtx<'_>, ts: &TableSet) -> bool {
+/// Run the case's plan for its rows or its count; whether it failed, as
+/// it must.
+fn fails(case: Case, cx: &ExecCtx<'_>, ts: &TableSet, count: bool) -> bool {
     let tree = tree();
     let (ok_t, ok_s, bad_s) = (
         atom(&tree, "t.year > 1990"),
@@ -83,7 +85,7 @@ fn fails(case: Case, cx: &ExecCtx<'_>, ts: &TableSet) -> bool {
                 APlan::filter(ok_t, APlan::scan("t")),
                 APlan::filter(bad_s, APlan::scan("s")),
             );
-            execute_traditional(cx, &plan, ts, Some(&tree)).is_err()
+            execute_traditional(cx, &plan, ts, Some(&tree), count).is_err()
         }
         Case::TraditionalFailingLaterUnionChild => {
             let plan = APlan::Union {
@@ -92,7 +94,7 @@ fn fails(case: Case, cx: &ExecCtx<'_>, ts: &TableSet) -> bool {
                     APlan::filter(bad_s, APlan::scan("s")),
                 ],
             };
-            execute_traditional(cx, &plan, ts, Some(&tree)).is_err()
+            execute_traditional(cx, &plan, ts, Some(&tree), count).is_err()
         }
         Case::TaggedFailingRightSubtree => {
             let b = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
@@ -119,7 +121,7 @@ fn fails(case: Case, cx: &ExecCtx<'_>, ts: &TableSet) -> bool {
                 left,
                 right,
             };
-            execute_tagged(cx, &plan, &projection, ts, &tree).is_err()
+            execute_tagged(cx, &plan, &projection, ts, &tree, count).is_err()
         }
     }
 }
@@ -132,36 +134,34 @@ fn failing_sibling_subtrees_leak_nothing() {
         Case::TraditionalFailingRightSubtree,
         Case::TraditionalFailingLaterUnionChild,
     ] {
-        for pooled in [false, true] {
-            for traced in [false, true] {
-                let case_name = format!("{case:?} / pooled={pooled} / traced={traced}");
-                let arena = MaskArena::new();
-                let pool = WorkerPool::new(4);
-                let tracer = Tracer::new();
-                let cx = ExecCtx {
-                    arena: &arena,
-                    pool: pooled.then_some(&pool),
-                    tracer: traced.then_some(&tracer),
-                };
-                assert!(fails(case, &cx, &ts), "{case_name}: must fail");
-                assert_eq!(
-                    arena.outstanding(),
-                    0,
-                    "{case_name}: the failing subtree stranded a sibling's buffers"
-                );
-                assert_eq!(
-                    pool.outstanding(),
-                    0,
-                    "{case_name}: a worker arena kept a shipped sibling's buffers"
-                );
-                // The siblings really ran as one region when — and only
-                // when — the run was pooled and untraced.
-                assert_eq!(
-                    pool.region_stats().regions,
-                    u64::from(pooled && !traced),
-                    "{case_name}: shipping"
-                );
-            }
+        for (pooled, traced, count) in (0..8).map(|i| (i & 1 != 0, i & 2 != 0, i & 4 != 0)) {
+            let case_name = format!("{case:?} / pooled={pooled} / traced={traced} / count={count}");
+            let arena = MaskArena::new();
+            let pool = WorkerPool::new(4);
+            let tracer = Tracer::new();
+            let cx = ExecCtx {
+                arena: &arena,
+                pool: pooled.then_some(&pool),
+                tracer: traced.then_some(&tracer),
+            };
+            assert!(fails(case, &cx, &ts, count), "{case_name}: must fail");
+            assert_eq!(
+                arena.outstanding(),
+                0,
+                "{case_name}: the failing subtree stranded a sibling's buffers"
+            );
+            assert_eq!(
+                pool.outstanding(),
+                0,
+                "{case_name}: a worker arena kept a shipped sibling's buffers"
+            );
+            // The siblings really ran as one region when — and only
+            // when — the run was pooled and untraced.
+            assert_eq!(
+                pool.region_stats().regions,
+                u64::from(pooled && !traced),
+                "{case_name}: shipping"
+            );
         }
     }
 }

@@ -10,6 +10,10 @@
 //!        ──► context return (sweep) ──► Response
 //! ```
 //!
+//! A `COUNT(*)` statement takes the same path but only *counts* its
+//! cached plan ([`QuerySession::count`]: the root operator counts, no
+//! output relation is built) and answers one synthetic `count(*)` row.
+//!
 //! * **Admission** queues every request as a *ticket* in its client's
 //!   fairness lane; a deficit-round-robin dispatcher grants contexts
 //!   across lanes so no client can starve another (see the
@@ -733,14 +737,31 @@ impl Server {
         let t1 = Instant::now();
         let result = (|| -> Result<Response> {
             let exec_span = tracer.map(|t| t.begin("execute"));
-            let output = session.execute_traced(plan, tracer)?;
+            // A `COUNT(*)` runs its plan to the root operator and counts
+            // there; nothing of the output relation is materialized.
+            let (rows, output) = if stmt.is_count {
+                (session.count(plan, tracer)?, None)
+            } else {
+                let output = session.execute_traced(plan, tracer)?;
+                (output.count(), Some(output))
+            };
             if let (Some(t), Some(s)) = (tracer, exec_span) {
-                t.attr(s, "rows", output.count());
+                t.attr(s, "rows", rows);
                 t.end(s);
             }
             let execution = t1.elapsed();
-            let (columns, row_count) =
-                self.materialize(&session, &output, stmt.limit, stmt.is_count)?;
+            let (columns, row_count) = match output {
+                Some(output) => self.materialize(&session, &output, stmt.limit)?,
+                // One row, one synthetic column (LIMIT 0 still yields the
+                // count row, matching SQL aggregates).
+                None => (
+                    vec![(
+                        ColumnRef::new("", "count(*)"),
+                        Arc::new(Column::from_ints(vec![rows as i64])),
+                    )],
+                    1,
+                ),
+            };
             Ok(Response {
                 columns,
                 row_count,
@@ -758,29 +779,15 @@ impl Server {
         (session.into_context(), result)
     }
 
-    /// Shared lowering of an executed output: `COUNT(*)`, projection and
-    /// `LIMIT`.
+    /// Shared lowering of an executed output: projection and `LIMIT`.
     fn materialize(
         &self,
         session: &QuerySession,
         output: &QueryOutput,
         limit: Option<usize>,
-        is_count: bool,
     ) -> Result<(OutputColumns, usize)> {
-        let full_count = output.count();
-        if is_count {
-            // COUNT(*): one row, one synthetic column (LIMIT 0 still
-            // yields the count row, matching SQL aggregates).
-            return Ok((
-                vec![(
-                    ColumnRef::new("", "count(*)"),
-                    Arc::new(Column::from_ints(vec![full_count as i64])),
-                )],
-                1,
-            ));
-        }
         let mut columns = session.project(output)?;
-        let mut row_count = full_count;
+        let mut row_count = output.count();
         if let Some(l) = limit {
             if l < row_count {
                 let keep: Vec<u32> = (0..l as u32).collect();

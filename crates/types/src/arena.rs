@@ -312,10 +312,7 @@ impl MaskArena {
         #[cfg(basilisk_check)]
         crate::sync::check::buffer_recycled(mask.check_key(), self.check_id(), "mask");
         self.live.set(self.live.get().saturating_sub(1));
-        let mut pool = self.masks.borrow_mut();
-        if pool.len() < MAX_POOLED {
-            pool.push(mask);
-        }
+        park(&mut self.masks.borrow_mut(), mask, |m| m.words_capacity());
     }
 
     /// Return a bitmap to the pool.
@@ -323,10 +320,9 @@ impl MaskArena {
         #[cfg(basilisk_check)]
         crate::sync::check::buffer_recycled(bitmap.check_key(), self.check_id(), "bitmap");
         self.live.set(self.live.get().saturating_sub(1));
-        let mut pool = self.bitmaps.borrow_mut();
-        if pool.len() < MAX_POOLED {
-            pool.push(bitmap);
-        }
+        park(&mut self.bitmaps.borrow_mut(), bitmap, |b| {
+            b.words_capacity()
+        });
     }
 
     /// Return an index buffer to the pool.
@@ -415,6 +411,27 @@ impl MaskArena {
     }
 }
 
+/// Park a recycled buffer. Below [`MAX_POOLED`] it joins the pool; a full
+/// pool keeps the larger of the incoming buffer and its smallest one, so
+/// the big buffers a pipeline re-checks out every run survive a pool
+/// crowded with small ones instead of being dropped and re-allocated.
+fn park<T>(pool: &mut Vec<T>, buf: T, capacity: impl Fn(&T) -> usize) {
+    if pool.len() < MAX_POOLED {
+        pool.push(buf);
+        return;
+    }
+    let smallest = pool
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, b)| capacity(b))
+        .map(|(i, b)| (i, capacity(b)));
+    if let Some((i, cap)) = smallest {
+        if cap < capacity(&buf) {
+            pool[i] = buf;
+        }
+    }
+}
+
 /// Pop the **best-fitting** pooled buffer: the smallest capacity ≥
 /// `words` (most recently recycled on ties). First-fit would let a small
 /// checkout steal a big buffer and force the next big checkout to
@@ -478,7 +495,11 @@ mod tests {
     #[test]
     fn undersized_pool_entries_are_skipped() {
         let arena = MaskArena::new();
-        arena.recycle_bitmap(Bitmap::new(10));
+        // Pooled buffers are this arena's own checkouts: a foreign buffer
+        // could reuse the address of one another test leaked, which the
+        // `basilisk_check` ownership registry would flag.
+        let small = arena.bitmap(10);
+        arena.recycle_bitmap(small);
         arena.reset_stats();
         // 10 bits = 1 word; 200 bits needs 4 → miss.
         let big = arena.bitmap(200);
@@ -516,6 +537,41 @@ mod tests {
         assert_eq!(c, src);
         let ones = arena.bitmap_ones(70);
         assert_eq!(ones.count_ones(), 70);
+    }
+
+    /// A pool full of small buffers still keeps a large one: the next
+    /// large checkout reuses it instead of allocating. (Every buffer here
+    /// is this arena's own checkout, as the ownership checks require.)
+    #[test]
+    fn full_pool_keeps_large_buffers() {
+        let arena = MaskArena::new();
+        let (big_b, big_m) = (arena.bitmap(1 << 20), arena.mask(1 << 20));
+        let small_b: Vec<Bitmap> = (0..=MAX_POOLED).map(|_| arena.bitmap(64)).collect();
+        let small_m: Vec<TruthMask> = (0..MAX_POOLED).map(|_| arena.mask(64)).collect();
+        let mut small_b = small_b.into_iter();
+        let spare = small_b.next().expect("one spare small bitmap");
+        small_b.for_each(|b| arena.recycle_bitmap(b));
+        small_m.into_iter().for_each(|m| arena.recycle_mask(m));
+        assert_eq!(arena.pooled(), 2 * MAX_POOLED, "both pools are full");
+
+        arena.recycle_bitmap(big_b);
+        arena.recycle_mask(big_m);
+        assert_eq!(arena.pooled(), 2 * MAX_POOLED, "the cap still holds");
+        arena.reset_stats();
+        let (b, m) = (arena.bitmap(1 << 20), arena.mask(1 << 20));
+        assert_eq!(arena.stats().fresh(), 0, "large buffers were kept");
+        arena.recycle_bitmap(b);
+        arena.recycle_mask(m);
+
+        // Full again: a buffer no larger than the smallest pooled one is
+        // dropped, and the large ones stay.
+        arena.recycle_bitmap(spare);
+        assert_eq!(arena.pooled(), 2 * MAX_POOLED);
+        arena.reset_stats();
+        let b = arena.bitmap(1 << 20);
+        assert_eq!(arena.stats().bitmaps.fresh, 0);
+        arena.recycle_bitmap(b);
+        assert_eq!(arena.outstanding(), 0);
     }
 
     #[test]
