@@ -8,7 +8,7 @@
 //! lookup and output-index build, with the build side chosen as the
 //! cheaper of the two (footnote 4).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use basilisk_catalog::Estimator;
 use basilisk_core::{FilterTagMap, JoinTagMap, ProjectionTags, Tag, TagMapBuilder};
@@ -190,19 +190,21 @@ fn sim(
             let lmap: HashMap<&Tag, f64> = lcards.iter().map(|(t, c)| (t, *c)).collect();
             let rmap: HashMap<&Tag, f64> = rcards.iter().map(|(t, c)| (t, *c)).collect();
 
-            // R'_left / R'_right: union of participating slices.
-            let mut part_l: HashMap<&Tag, f64> = HashMap::new();
-            let mut part_r: HashMap<&Tag, f64> = HashMap::new();
-            for e in &map.entries {
-                if let Some(&c) = lmap.get(&e.left) {
-                    part_l.insert(&e.left, c);
-                }
-                if let Some(&c) = rmap.get(&e.right) {
-                    part_r.insert(&e.right, c);
-                }
-            }
-            let r_left: f64 = part_l.values().sum();
-            let r_right: f64 = part_r.values().sum();
+            // R'_left / R'_right: union of participating slices, summed in
+            // the children's tag order — float addition is not
+            // associative, so a sum in hash order would make near-tie
+            // picks depend on the process's hash seed.
+            let part_l: HashSet<&Tag> = map.entries.iter().map(|e| &e.left).collect();
+            let part_r: HashSet<&Tag> = map.entries.iter().map(|e| &e.right).collect();
+            let participating = |cards: &TagCards, part: &HashSet<&Tag>| -> f64 {
+                cards
+                    .iter()
+                    .filter(|(t, _)| part.contains(t))
+                    .map(|(_, c)| c)
+                    .sum()
+            };
+            let r_left = participating(&lcards, &part_l);
+            let r_right = participating(&rcards, &part_r);
             let jsel = est.join_selectivity(&cond.left, &cond.right)?;
 
             // Output cardinalities per entry.
