@@ -1,9 +1,18 @@
 //! Plan stability: TCombined's pick is a function of the statement and
-//! the catalog, never of the process's hash seed. Near-tie statements
-//! (two candidate plans whose costs differ in the last bits) are planned
-//! many times in one process — every `HashMap` gets a fresh random seed,
-//! so any cost sum that walks a hash map in iteration order shows up as
-//! a second plan.
+//! the catalog, never of the process's hash seed, and never of how fast
+//! the planner finds it.
+//!
+//! * Near-tie statements (two candidate plans whose costs differ in the
+//!   last bits) are planned many times in one process — every `HashMap`
+//!   gets a fresh random seed, so any cost sum that walks a hash map in
+//!   iteration order shows up as a second plan.
+//! * A golden snapshot (`plan_snapshot.txt`) pins the chosen planner, the
+//!   abstract plan and the cost bits of every JOB group of two query
+//!   seeds and a spread of §5.2 cells. Planner speed-ups must leave it
+//!   byte for byte unchanged. A mismatch writes the new rendering next to
+//!   the build's other test output (the path is in the failure message);
+//!   replace the golden file with it only for a change meant to alter
+//!   picks.
 
 use basilisk_catalog::Catalog;
 use basilisk_plan::{Plan, PlannerKind, Query, QuerySession};
@@ -84,5 +93,51 @@ fn tcombined_pick_ignores_the_hash_seed() {
     let imdb = imdb_catalog();
     for g in &job_queries(42)[..2] {
         assert_one_plan(&imdb, &g.query, &format!("job(42) group {}", g.group));
+    }
+}
+
+/// Every snapshot line, in a fixed order.
+fn snapshot() -> String {
+    let mut out = String::new();
+    let imdb = imdb_catalog();
+    for seed in [42, 43] {
+        for g in job_queries(seed) {
+            let line = tcombined(&imdb, &g.query);
+            out.push_str(&format!("job({seed}) group {}: {line}\n", g.group));
+        }
+    }
+    let syn = synthetic_catalog();
+    for (form, make) in [
+        ("DNF", dnf_query as fn(usize, f64, Option<f64>) -> Query),
+        ("CNF", cnf_query),
+    ] {
+        for clauses in [2, 3, 4, 5] {
+            for sel in [0.2, 0.5, 0.8] {
+                for outer in [None, Some(0.5)] {
+                    let line = tcombined(&syn, &make(clauses, sel, outer));
+                    out.push_str(&format!(
+                        "{form} {clauses} @ {sel} outer {outer:?}: {line}\n"
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn tcombined_picks_match_the_golden_snapshot() {
+    let golden = include_str!("plan_snapshot.txt");
+    let actual = snapshot();
+    if actual != golden {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("plan_snapshot.txt");
+        std::fs::write(&path, &actual).unwrap();
+        let diff = actual
+            .lines()
+            .zip(golden.lines())
+            .find(|(a, g)| a != g)
+            .map(|(a, g)| format!("first difference:\n  now:    {a}\n  golden: {g}"))
+            .unwrap_or_else(|| "line counts differ".into());
+        panic!("plans moved ({}); {diff}", path.display());
     }
 }
