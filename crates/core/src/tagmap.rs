@@ -126,7 +126,7 @@ type Memo<K, V> = RefCell<HashMap<K, V>>;
 /// the paper measures planning time per run.
 pub struct TagMapBuilder<'t> {
     tree: &'t PredicateTree,
-    closure: Option<Closure<'t>>,
+    closure: Option<Closure>,
     strategy: TagMapStrategy,
     three_valued: bool,
     finish_cache: Memo<Tag, Option<Tag>>,

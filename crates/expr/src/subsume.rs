@@ -18,6 +18,7 @@
 //! value is non-null and satisfies `P`; `P = F` means non-null and fails
 //! `P`; `P = U` means the evaluation was unknown (a NULL was involved).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use basilisk_types::{Truth, Value};
@@ -26,16 +27,48 @@ use crate::atom::{Atom, CmpOp};
 use crate::tree::{ExprId, PredicateTree};
 
 /// Precomputed closure engine for one predicate tree.
-pub struct Closure<'t> {
-    tree: &'t PredicateTree,
+///
+/// [`implied_truth`] compares column names and builds constraint sets
+/// from literal values; the closure is asked for thousands of times per
+/// planning call, so every answer is derived once here.
+pub struct Closure {
+    /// The tree's atoms in id order.
     atoms: Vec<ExprId>,
+    /// `implies[3 * i + t]`: what atom `atoms[i]` having truth `TRUTHS[t]`
+    /// implies — every other atom it determines, with its truth, in atom-id
+    /// order.
+    implies: Vec<Vec<(ExprId, Truth)>>,
 }
 
-impl<'t> Closure<'t> {
-    pub fn new(tree: &'t PredicateTree) -> Self {
-        Closure {
-            tree,
-            atoms: tree.atom_ids(),
+/// Row order of [`Closure::implies`].
+const TRUTHS: [Truth; 3] = [Truth::True, Truth::False, Truth::Unknown];
+
+impl Closure {
+    pub fn new(tree: &PredicateTree) -> Self {
+        let atoms = tree.atom_ids();
+        let mut implies = Vec::with_capacity(3 * atoms.len());
+        for &src in &atoms {
+            let src_atom = tree.atom(src).expect("atom id");
+            for truth in TRUTHS {
+                let row = atoms
+                    .iter()
+                    .filter(|&&dst| dst != src)
+                    .filter_map(|&dst| {
+                        let dst_atom = tree.atom(dst).expect("atom id");
+                        implied_truth(src_atom, truth, dst_atom).map(|t| (dst, t))
+                    })
+                    .collect();
+                implies.push(row);
+            }
+        }
+        Closure { atoms, implies }
+    }
+
+    /// What `src = truth` implies, if `src` is an atom.
+    fn implications(&self, src: ExprId, truth: Truth) -> &[(ExprId, Truth)] {
+        match self.atoms.binary_search(&src) {
+            Ok(i) => &self.implies[3 * i + truth_row(truth)],
+            Err(_) => &[],
         }
     }
 
@@ -50,14 +83,9 @@ impl<'t> Closure<'t> {
                 let Some(&truth) = assignments.get(&src) else {
                     continue;
                 };
-                let src_atom = self.tree.atom(src).expect("atom id");
-                for &dst in &self.atoms {
-                    if dst == src || assignments.contains_key(&dst) {
-                        continue;
-                    }
-                    let dst_atom = self.tree.atom(dst).expect("atom id");
-                    if let Some(implied) = implied_truth(src_atom, truth, dst_atom) {
-                        assignments.insert(dst, implied);
+                for &(dst, implied) in self.implications(src, truth) {
+                    if let Entry::Vacant(slot) = assignments.entry(dst) {
+                        slot.insert(implied);
                         changed = true;
                     }
                 }
@@ -66,23 +94,14 @@ impl<'t> Closure<'t> {
                 break;
             }
         }
-        // Consistency check: no pair of assignments may contradict.
-        for (i, (&a, &ta)) in assignments.iter().enumerate() {
-            let Some(atom_a) = self.tree.atom(a) else {
-                continue;
-            };
-            for (&b, &tb) in assignments.iter().skip(i + 1) {
-                let Some(atom_b) = self.tree.atom(b) else {
-                    continue;
-                };
-                if let Some(implied) = implied_truth(atom_a, ta, atom_b) {
-                    if implied != tb {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        // Consistency check: no pair of assignments may contradict. Each
+        // pair is checked one way, from the lower id to the higher.
+        assignments.iter().all(|(&a, &ta)| {
+            self.implications(a, ta)
+                .iter()
+                .filter(|&&(b, _)| b > a)
+                .all(|(b, t)| assignments.get(b).is_none_or(|tb| tb == t))
+        })
     }
 
     /// Would the closure of `assignments` determine `atom`? (Does not
@@ -94,6 +113,14 @@ impl<'t> Closure<'t> {
         let mut work = assignments.clone();
         self.close(&mut work);
         work.get(&atom).copied()
+    }
+}
+
+fn truth_row(truth: Truth) -> usize {
+    match truth {
+        Truth::True => 0,
+        Truth::False => 1,
+        Truth::Unknown => 2,
     }
 }
 
@@ -150,29 +177,21 @@ pub fn implied_truth(src: &Atom, truth: Truth, dst: &Atom) -> Option<Truth> {
     None
 }
 
-/// Everything a plan can depend on in a tree's literal *values*: what
-/// [`implied_truth`] derives for every ordered pair of distinct
-/// same-column atoms under each truth value, in atom-id order. Tag maps
-/// bake the closure in at plan time, so a cached plan may only be
-/// re-driven over a rebound tree ([congruent modulo
-/// values](PredicateTree::congruent_modulo_values), hence the same pairs
-/// in the same order) whose signature is equal — rebinding
-/// `year > 2011 OR year > 1986` to literals that order the other way
-/// flips which atom implies which.
-pub fn implication_signature(tree: &PredicateTree) -> Vec<Option<Truth>> {
-    let atoms: Vec<&Atom> = tree
-        .atom_ids()
-        .into_iter()
-        .filter_map(|id| tree.atom(id))
-        .collect();
+/// Everything a plan can depend on in a tree's literal *values*: the
+/// [`Closure`] table — every `(src, truth) ⇒ (dst, implied)` between
+/// distinct atoms, in atom-id order. Tag maps bake the closure in
+/// at plan time, so a cached plan may only be re-driven over a rebound
+/// tree ([congruent modulo values](PredicateTree::congruent_modulo_values),
+/// hence the same atoms under the same ids) whose signature is equal —
+/// rebinding `year > 2011 OR year > 1986` to literals that order the
+/// other way flips which atom implies which.
+pub fn implication_signature(tree: &PredicateTree) -> Vec<(ExprId, Truth, ExprId, Truth)> {
+    let closure = Closure::new(tree);
     let mut out = Vec::new();
-    for (i, src) in atoms.iter().enumerate() {
-        for (j, dst) in atoms.iter().enumerate() {
-            if i != j && src.column() == dst.column() {
-                out.extend(
-                    [Truth::True, Truth::False, Truth::Unknown].map(|t| implied_truth(src, t, dst)),
-                );
-            }
+    for &src in &closure.atoms {
+        for truth in TRUTHS {
+            let implied = closure.implications(src, truth);
+            out.extend(implied.iter().map(|&(dst, t)| (src, truth, dst, t)));
         }
     }
     out
@@ -303,6 +322,85 @@ mod tests {
             .into_iter()
             .find(|&id| tree.atom(id).unwrap().to_string() == text)
             .unwrap_or_else(|| panic!("no atom {text}"))
+    }
+
+    /// The pairwise closure the table replaced: [`implied_truth`] asked
+    /// afresh for every pair on every pass.
+    fn close_pairwise(tree: &PredicateTree, asg: &mut BTreeMap<ExprId, Truth>) -> bool {
+        let atoms = tree.atom_ids();
+        loop {
+            let mut changed = false;
+            for &src in &atoms {
+                let Some(&truth) = asg.get(&src) else {
+                    continue;
+                };
+                for &dst in &atoms {
+                    if dst == src || asg.contains_key(&dst) {
+                        continue;
+                    }
+                    let implied =
+                        implied_truth(tree.atom(src).unwrap(), truth, tree.atom(dst).unwrap());
+                    if let Some(implied) = implied {
+                        asg.insert(dst, implied);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        for (i, (&a, &ta)) in asg.iter().enumerate() {
+            for (&b, &tb) in asg.iter().skip(i + 1) {
+                if implied_truth(tree.atom(a).unwrap(), ta, tree.atom(b).unwrap())
+                    .is_some_and(|t| t != tb)
+                {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The table-driven closure extends every assignment of one or two
+    /// atoms exactly as the pairwise one does, contradictions included.
+    #[test]
+    fn table_closure_matches_pairwise_closure() {
+        let e = or(vec![
+            col("t", "x").lt(5i64),
+            col("t", "x").le(5i64),
+            col("t", "x").gt(9i64),
+            col("t", "x").eq(7i64),
+            col("t", "x").ne(7i64),
+            col("t", "x").in_list(vec![Value::Int(1), Value::Int(7)]),
+            col("t", "x").is_null(),
+            col("t", "s").like("%a%"),
+            col("t", "s").is_null(),
+            col("u", "x").gt(3i64),
+        ]);
+        let tree = tree_of(&e);
+        let closure = Closure::new(&tree);
+        let atoms = tree.atom_ids();
+        let mut starts = vec![BTreeMap::new()];
+        for &a in &atoms {
+            for ta in TRUTHS {
+                starts.push(BTreeMap::from([(a, ta)]));
+                for &b in atoms.iter().filter(|&&b| b > a) {
+                    for tb in TRUTHS {
+                        starts.push(BTreeMap::from([(a, ta), (b, tb)]));
+                    }
+                }
+            }
+        }
+        let mut contradictions = 0;
+        for start in starts {
+            let (mut table, mut pairwise) = (start.clone(), start.clone());
+            let ok = closure.close(&mut table);
+            assert_eq!(ok, close_pairwise(&tree, &mut pairwise), "{start:?}");
+            assert_eq!(table, pairwise, "{start:?}");
+            contradictions += usize::from(!ok);
+        }
+        assert!(contradictions > 0);
     }
 
     /// Literal shifts that keep the atoms' order keep the signature; a

@@ -22,7 +22,7 @@ use basilisk_types::sync::{Arc, Mutex};
 use std::collections::HashMap;
 
 use basilisk_exec::TableSet;
-use basilisk_expr::PredicateTree;
+use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_plan::{Plan, PlannerKind, Query};
 use basilisk_types::{Truth, Value};
 
@@ -38,7 +38,7 @@ pub struct PreparedStatement {
     pub(crate) tree: Option<PredicateTree>,
     /// `implication_signature` of `tree`: the atom implications the
     /// plan's tag maps were built under. A binding must reproduce it.
-    pub(crate) implications: Vec<Option<Truth>>,
+    pub(crate) implications: Vec<(ExprId, Truth, ExprId, Truth)>,
     pub(crate) param_count: usize,
     pub(crate) plan: Plan,
     pub(crate) planner: PlannerKind,
