@@ -17,8 +17,10 @@
 //! the exponential tag blowup the paper warns about.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
+use std::sync::Arc;
 
+use basilisk_exec::{FxBuildHasher, FxHashMap};
 use basilisk_expr::subsume::Closure;
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_types::Truth;
@@ -64,7 +66,7 @@ pub struct FilterTagMap {
     /// list cannot drift out of sync with the hashed index — build a new
     /// map instead of mutating.
     entries: Vec<FilterTagEntry>,
-    index: basilisk_exec::FxHashMap<Tag, u32>,
+    index: FxHashMap<Tag, u32>,
 }
 
 impl FilterTagMap {
@@ -113,8 +115,45 @@ pub struct ProjectionTags {
     pub allowed: Vec<Tag>,
 }
 
-/// Memoization table: one `RefCell<HashMap>` per derived quantity.
-type Memo<K, V> = RefCell<HashMap<K, V>>;
+/// Memoization table: one `RefCell<FxHashMap>` per derived quantity.
+type Memo<K, V> = RefCell<FxHashMap<K, V>>;
+
+/// A memo whose owned keys are slices of tags, probed with the borrowed
+/// form: entries are bucketed by the Fx hash of the borrowed key, so a
+/// hit hashes `(node, &[Tag])` in place and costs a refcount bump — only
+/// a miss builds an owned key.
+struct SliceMemo<K, V> {
+    buckets: Memo<u64, Vec<(K, Arc<V>)>>,
+}
+
+impl<K, V> SliceMemo<K, V> {
+    fn new() -> Self {
+        SliceMemo {
+            buckets: Memo::default(),
+        }
+    }
+
+    fn get(&self, hash: u64, is_key: impl Fn(&K) -> bool) -> Option<Arc<V>> {
+        let buckets = self.buckets.borrow();
+        let bucket = buckets.get(&hash)?;
+        bucket
+            .iter()
+            .find(|(k, _)| is_key(k))
+            .map(|(_, v)| Arc::clone(v))
+    }
+
+    fn insert(&self, hash: u64, key: K, value: Arc<V>) {
+        self.buckets
+            .borrow_mut()
+            .entry(hash)
+            .or_default()
+            .push((key, value));
+    }
+}
+
+fn fx_hash(key: impl Hash) -> u64 {
+    FxBuildHasher::default().hash_one(key)
+}
 
 /// Plan-time tag-map builder for one query's predicate tree.
 ///
@@ -133,8 +172,8 @@ pub struct TagMapBuilder<'t> {
     redundant_cache: Memo<(ExprId, Tag), bool>,
     pair_cache: Memo<(Tag, Tag), Option<Tag>>,
     root_cache: Memo<Tag, Option<Truth>>,
-    filter_map_cache: Memo<(ExprId, Vec<Tag>), FilterTagMap>,
-    join_map_cache: Memo<(Vec<Tag>, Vec<Tag>), JoinTagMap>,
+    filter_map_cache: SliceMemo<(ExprId, Vec<Tag>), FilterTagMap>,
+    join_map_cache: SliceMemo<(Vec<Tag>, Vec<Tag>), JoinTagMap>,
 }
 
 impl<'t> TagMapBuilder<'t> {
@@ -148,12 +187,12 @@ impl<'t> TagMapBuilder<'t> {
             closure,
             strategy,
             three_valued: false,
-            finish_cache: RefCell::new(HashMap::new()),
-            redundant_cache: RefCell::new(HashMap::new()),
-            pair_cache: RefCell::new(HashMap::new()),
-            root_cache: RefCell::new(HashMap::new()),
-            filter_map_cache: RefCell::new(HashMap::new()),
-            join_map_cache: RefCell::new(HashMap::new()),
+            finish_cache: Memo::default(),
+            redundant_cache: Memo::default(),
+            pair_cache: Memo::default(),
+            root_cache: Memo::default(),
+            filter_map_cache: SliceMemo::new(),
+            join_map_cache: SliceMemo::new(),
         }
     }
 
@@ -233,14 +272,17 @@ impl<'t> TagMapBuilder<'t> {
 
     /// Build a filter's tag map for the given input tag set (§3.3).
     /// Memoized on `(node, input tag set)` — candidate plans share
-    /// unchanged subtrees, so planners hit this cache constantly.
-    pub fn filter_map(&self, node: ExprId, input_tags: &[Tag]) -> FilterTagMap {
-        let key = (node, input_tags.to_vec());
-        if let Some(hit) = self.filter_map_cache.borrow().get(&key) {
-            return hit.clone();
+    /// unchanged subtrees, so planners hit this cache constantly, and
+    /// every hit shares the one map.
+    pub fn filter_map(&self, node: ExprId, input_tags: &[Tag]) -> Arc<FilterTagMap> {
+        let hash = fx_hash((node, input_tags));
+        let is_key = |(n, tags): &(ExprId, Vec<Tag>)| *n == node && tags == input_tags;
+        if let Some(hit) = self.filter_map_cache.get(hash, is_key) {
+            return hit;
         }
-        let map = self.filter_map_uncached(node, input_tags);
-        self.filter_map_cache.borrow_mut().insert(key, map.clone());
+        let map = Arc::new(self.filter_map_uncached(node, input_tags));
+        self.filter_map_cache
+            .insert(hash, (node, input_tags.to_vec()), Arc::clone(&map));
         map
     }
 
@@ -312,14 +354,19 @@ impl<'t> TagMapBuilder<'t> {
 
     /// Build a join's tag map over the Cartesian product of input tag
     /// sets, keeping only pairings that can still reach the output (§3.3).
-    /// Memoized on the input tag sets.
-    pub fn join_map(&self, left_tags: &[Tag], right_tags: &[Tag]) -> JoinTagMap {
-        let key = (left_tags.to_vec(), right_tags.to_vec());
-        if let Some(hit) = self.join_map_cache.borrow().get(&key) {
-            return hit.clone();
+    /// Memoized on the input tag sets; every hit shares the one map.
+    pub fn join_map(&self, left_tags: &[Tag], right_tags: &[Tag]) -> Arc<JoinTagMap> {
+        let hash = fx_hash((left_tags, right_tags));
+        let is_key = |(l, r): &(Vec<Tag>, Vec<Tag>)| l == left_tags && r == right_tags;
+        if let Some(hit) = self.join_map_cache.get(hash, is_key) {
+            return hit;
         }
-        let map = self.join_map_uncached(left_tags, right_tags);
-        self.join_map_cache.borrow_mut().insert(key, map.clone());
+        let map = Arc::new(self.join_map_uncached(left_tags, right_tags));
+        self.join_map_cache.insert(
+            hash,
+            (left_tags.to_vec(), right_tags.to_vec()),
+            Arc::clone(&map),
+        );
         map
     }
 

@@ -8,10 +8,11 @@
 //! lookup and output-index build, with the build side chosen as the
 //! cheaper of the two (footnote 4).
 
-use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use basilisk_catalog::Estimator;
 use basilisk_core::{FilterTagMap, JoinTagMap, ProjectionTags, Tag, TagMapBuilder};
+use basilisk_exec::{FxHashMap, FxHashSet};
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_types::{BasiliskError, Result};
 
@@ -20,6 +21,11 @@ use crate::benefit::filter_cost_factor;
 use crate::query::JoinCond;
 
 /// Calibration constants of the cost model.
+///
+/// Every constant must be non-negative: then every cost term is too (the
+/// estimator clamps selectivities into `[0, 1]`), a running total never
+/// falls, and [`annotate_tagged_below`] may stop a plan as soon as its
+/// partial cost reaches a bound without changing any comparison.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Calibrates filter cost against join cost (`α`).
@@ -43,8 +49,23 @@ impl Default for CostModel {
     }
 }
 
+impl CostModel {
+    fn is_non_negative(&self) -> bool {
+        [
+            self.alpha,
+            self.f_hash_lookup,
+            self.f_hash_build,
+            self.f_index_build,
+            self.f_union,
+        ]
+        .iter()
+        .all(|&c| c >= 0.0)
+    }
+}
+
 /// A tagged physical plan: the abstract tree with a tag map attached to
-/// every filter and join, plus the projection's admitted tags.
+/// every filter and join, plus the projection's admitted tags. Maps are
+/// shared with the [`TagMapBuilder`] memo that built them.
 #[derive(Debug, Clone)]
 pub enum TPlan {
     Scan {
@@ -52,12 +73,12 @@ pub enum TPlan {
     },
     Filter {
         node: ExprId,
-        map: FilterTagMap,
+        map: Arc<FilterTagMap>,
         child: Box<TPlan>,
     },
     Join {
         cond: JoinCond,
-        map: JoinTagMap,
+        map: Arc<JoinTagMap>,
         left: Box<TPlan>,
         right: Box<TPlan>,
     },
@@ -74,8 +95,39 @@ pub struct TaggedAnnotation {
     pub out_rows: f64,
 }
 
-/// Per-tag cardinality estimates flowing along one plan edge.
-type TagCards = Vec<(Tag, f64)>;
+/// The tags flowing along one plan edge, each with its cardinality
+/// estimate (`cards[i]` belongs to `tags[i]`).
+#[derive(Default)]
+struct Edge {
+    tags: Vec<Tag>,
+    cards: Vec<f64>,
+}
+
+impl Edge {
+    /// Add `card` to `tag`'s estimate, appending the tag on first sight.
+    fn add<'a>(&mut self, index: &mut FxHashMap<&'a Tag, usize>, tag: &'a Tag, card: f64) {
+        let i = *index.entry(tag).or_insert_with(|| {
+            self.tags.push(tag.clone());
+            self.cards.push(0.0);
+            self.tags.len() - 1
+        });
+        self.cards[i] += card;
+    }
+
+    fn by_tag(&self) -> FxHashMap<&Tag, f64> {
+        self.tags.iter().zip(self.cards.iter().copied()).collect()
+    }
+
+    /// Sum of the estimates of the tags in `part`, in edge order.
+    fn sum_of(&self, part: &FxHashSet<&Tag>) -> f64 {
+        self.tags
+            .iter()
+            .zip(&self.cards)
+            .filter(|(t, _)| part.contains(t))
+            .map(|(_, c)| c)
+            .sum()
+    }
+}
 
 /// Annotate an abstract plan with tag maps and cost it (§4.1).
 pub fn annotate_tagged(
@@ -85,167 +137,214 @@ pub fn annotate_tagged(
     est: &Estimator,
     cm: &CostModel,
 ) -> Result<TaggedAnnotation> {
-    let mut total = 0.0;
-    let (tplan, cards) = sim(plan, tree, builder, est, cm, &mut total)?;
-    let tags: Vec<Tag> = cards.iter().map(|(t, _)| t.clone()).collect();
-    let projection = builder.projection_tags(&tags);
-    let out_rows = cards
-        .iter()
-        .filter(|(t, _)| projection.allowed.contains(t))
-        .map(|(_, c)| c)
-        .sum();
-    Ok(TaggedAnnotation {
-        plan: tplan,
-        projection,
-        cost: total,
-        out_rows,
-    })
+    let ann = Sim::new(tree, builder, est, cm, None).annotate(plan)?;
+    Ok(ann.expect("an unbounded annotation is never cut short"))
 }
 
-fn sim(
+/// [`annotate_tagged`] for a plan that only matters if it costs strictly
+/// less than `bound`: `Ok(None)` means its cost is not below `bound`,
+/// `Some` carries the annotation [`annotate_tagged`] returns, cost bits
+/// included. Costing stops as soon as the running cost reaches `bound`;
+/// that is exact because every cost term is non-negative (see
+/// [`CostModel`]) and a float sum of non-negative terms never decreases.
+pub fn annotate_tagged_below(
     plan: &APlan,
     tree: &PredicateTree,
     builder: &TagMapBuilder<'_>,
     est: &Estimator,
     cm: &CostModel,
-    total: &mut f64,
-) -> Result<(TPlan, TagCards)> {
-    match plan {
-        APlan::Scan { alias } => {
-            let rows = est.rows(alias)?;
-            Ok((
-                TPlan::Scan {
-                    alias: alias.clone(),
-                },
-                vec![(Tag::empty(), rows)],
-            ))
-        }
-        APlan::Filter { node, child } => {
-            let (tchild, in_cards) = sim(child, tree, builder, est, cm, total)?;
-            let in_tags: Vec<Tag> = in_cards.iter().map(|(t, _)| t.clone()).collect();
-            let map = builder.filter_map(*node, &in_tags);
-            let f_p = filter_cost_factor(tree, *node);
-            let sel = est.node_selectivity(tree, *node)?;
+    bound: f64,
+) -> Result<Option<TaggedAnnotation>> {
+    debug_assert!(cm.is_non_negative(), "pruning needs non-negative costs");
+    Sim::new(tree, builder, est, cm, Some(bound)).annotate(plan)
+}
 
-            let mut out: HashMap<Tag, f64> = HashMap::new();
-            let mut order: Vec<Tag> = Vec::new();
-            let push = |tag: &Tag, card: f64, out: &mut HashMap<Tag, f64>, order: &mut Vec<Tag>| {
-                if !out.contains_key(tag) {
-                    order.push(tag.clone());
-                }
-                *out.entry(tag.clone()).or_insert(0.0) += card;
-            };
-            for (tag, card) in &in_cards {
-                match map.entry_for(tag) {
-                    None => push(tag, *card, &mut out, &mut order),
-                    Some(e) => {
-                        // Dead entries (no outputs) are dropped without
-                        // evaluation; live entries cost α·F_P·|R[I]|.
-                        if e.pos.is_some() || e.neg.is_some() || e.unk.is_some() {
-                            *total += cm.alpha * f_p * card;
-                        }
-                        if let Some(t) = &e.pos {
-                            push(t, card * sel, &mut out, &mut order);
-                        }
-                        if let Some(t) = &e.neg {
-                            push(t, card * (1.0 - sel), &mut out, &mut order);
-                        }
-                        // Unknown mass is not modelled separately (the
-                        // estimator has no NULL statistics for predicates,
-                        // so its cardinality share is folded into the
-                        // negative branch above) — but the unknown TAG
-                        // must still flow downstream: join tag maps are
-                        // built from this tag set, and omitting the tag
-                        // would discard the whole unknown slice at the
-                        // next join.
-                        if let Some(t) = &e.unk {
-                            push(t, 0.0, &mut out, &mut order);
+/// One bottom-up simulation of tag flow through a plan.
+struct Sim<'a> {
+    tree: &'a PredicateTree,
+    builder: &'a TagMapBuilder<'a>,
+    est: &'a Estimator,
+    cm: &'a CostModel,
+    /// Cost of the operators simulated so far.
+    total: f64,
+    /// Give up once `total` reaches this.
+    bound: Option<f64>,
+}
+
+impl<'a> Sim<'a> {
+    fn new(
+        tree: &'a PredicateTree,
+        builder: &'a TagMapBuilder<'a>,
+        est: &'a Estimator,
+        cm: &'a CostModel,
+        bound: Option<f64>,
+    ) -> Self {
+        Sim {
+            tree,
+            builder,
+            est,
+            cm,
+            total: 0.0,
+            bound,
+        }
+    }
+
+    /// Is the running cost still strictly below the bound? Once it is
+    /// not, the final cost is not either: later terms are non-negative
+    /// (or NaN, which no comparison accepts).
+    fn below_bound(&self) -> bool {
+        self.bound.is_none_or(|b| self.total < b)
+    }
+
+    fn annotate(mut self, plan: &APlan) -> Result<Option<TaggedAnnotation>> {
+        let Some((tplan, edge)) = self.sim(plan)? else {
+            return Ok(None);
+        };
+        if !self.below_bound() {
+            return Ok(None);
+        }
+        let projection = self.builder.projection_tags(&edge.tags);
+        let out_rows = edge
+            .tags
+            .iter()
+            .zip(&edge.cards)
+            .filter(|(t, _)| projection.allowed.contains(t))
+            .map(|(_, c)| c)
+            .sum();
+        Ok(Some(TaggedAnnotation {
+            plan: tplan,
+            projection,
+            cost: self.total,
+            out_rows,
+        }))
+    }
+
+    /// Simulate `plan`, or `None` once the running cost reaches the bound.
+    fn sim(&mut self, plan: &APlan) -> Result<Option<(TPlan, Edge)>> {
+        let (tree, builder, est, cm) = (self.tree, self.builder, self.est, self.cm);
+        match plan {
+            APlan::Scan { alias } => {
+                let rows = est.rows(alias)?;
+                let edge = Edge {
+                    tags: vec![Tag::empty()],
+                    cards: vec![rows],
+                };
+                Ok(Some((
+                    TPlan::Scan {
+                        alias: alias.clone(),
+                    },
+                    edge,
+                )))
+            }
+            APlan::Filter { node, child } => {
+                let Some((tchild, input)) = self.sim(child)? else {
+                    return Ok(None);
+                };
+                let map = builder.filter_map(*node, &input.tags);
+                let f_p = filter_cost_factor(tree, *node);
+                let sel = est.node_selectivity(tree, *node)?;
+
+                let mut out = Edge::default();
+                let mut index = FxHashMap::default();
+                for (tag, &card) in input.tags.iter().zip(&input.cards) {
+                    match map.entry_for(tag) {
+                        None => out.add(&mut index, tag, card),
+                        Some(e) => {
+                            // Dead entries (no outputs) are dropped without
+                            // evaluation; live entries cost α·F_P·|R[I]|.
+                            if e.pos.is_some() || e.neg.is_some() || e.unk.is_some() {
+                                self.total += cm.alpha * f_p * card;
+                            }
+                            if let Some(t) = &e.pos {
+                                out.add(&mut index, t, card * sel);
+                            }
+                            if let Some(t) = &e.neg {
+                                out.add(&mut index, t, card * (1.0 - sel));
+                            }
+                            // Unknown mass is not modelled separately (the
+                            // estimator has no NULL statistics for
+                            // predicates, so its cardinality share is folded
+                            // into the negative branch above) — but the
+                            // unknown TAG must still flow downstream: join
+                            // tag maps are built from this tag set, and
+                            // omitting the tag would discard the whole
+                            // unknown slice at the next join.
+                            if let Some(t) = &e.unk {
+                                out.add(&mut index, t, 0.0);
+                            }
                         }
                     }
                 }
-            }
-            let out_cards: TagCards = order
-                .into_iter()
-                .map(|t| {
-                    let c = out[&t];
-                    (t, c)
-                })
-                .collect();
-            Ok((
-                TPlan::Filter {
-                    node: *node,
-                    map,
-                    child: Box::new(tchild),
-                },
-                out_cards,
-            ))
-        }
-        APlan::Join { cond, left, right } => {
-            let (tleft, lcards) = sim(left, tree, builder, est, cm, total)?;
-            let (tright, rcards) = sim(right, tree, builder, est, cm, total)?;
-            let ltags: Vec<Tag> = lcards.iter().map(|(t, _)| t.clone()).collect();
-            let rtags: Vec<Tag> = rcards.iter().map(|(t, _)| t.clone()).collect();
-            let map = builder.join_map(&ltags, &rtags);
-
-            let lmap: HashMap<&Tag, f64> = lcards.iter().map(|(t, c)| (t, *c)).collect();
-            let rmap: HashMap<&Tag, f64> = rcards.iter().map(|(t, c)| (t, *c)).collect();
-
-            // R'_left / R'_right: union of participating slices, summed in
-            // the children's tag order — float addition is not
-            // associative, so a sum in hash order would make near-tie
-            // picks depend on the process's hash seed.
-            let part_l: HashSet<&Tag> = map.entries.iter().map(|e| &e.left).collect();
-            let part_r: HashSet<&Tag> = map.entries.iter().map(|e| &e.right).collect();
-            let participating = |cards: &TagCards, part: &HashSet<&Tag>| -> f64 {
-                cards
-                    .iter()
-                    .filter(|(t, _)| part.contains(t))
-                    .map(|(_, c)| c)
-                    .sum()
-            };
-            let r_left = participating(&lcards, &part_l);
-            let r_right = participating(&rcards, &part_r);
-            let jsel = est.join_selectivity(&cond.left, &cond.right)?;
-
-            // Output cardinalities per entry.
-            let mut out: HashMap<Tag, f64> = HashMap::new();
-            let mut order: Vec<Tag> = Vec::new();
-            let mut out_total = 0.0;
-            for e in &map.entries {
-                let (Some(&lc), Some(&rc)) = (lmap.get(&e.left), rmap.get(&e.right)) else {
-                    continue;
-                };
-                let c = lc * rc * jsel;
-                out_total += c;
-                if !out.contains_key(&e.out) {
-                    order.push(e.out.clone());
+                if !self.below_bound() {
+                    return Ok(None);
                 }
-                *out.entry(e.out.clone()).or_insert(0.0) += c;
+                let tplan = TPlan::Filter {
+                    node: *node,
+                    map: Arc::clone(&map),
+                    child: Box::new(tchild),
+                };
+                Ok(Some((tplan, out)))
             }
+            APlan::Join { cond, left, right } => {
+                let Some((tleft, l)) = self.sim(left)? else {
+                    return Ok(None);
+                };
+                let Some((tright, r)) = self.sim(right)? else {
+                    return Ok(None);
+                };
+                let map = builder.join_map(&l.tags, &r.tags);
 
-            // Build side: cheaper of the two (footnote 4).
-            let unique_l = r_left.min(est.ndv(&cond.left)?);
-            let unique_r = r_right.min(est.ndv(&cond.right)?);
-            let build_left =
-                cm.f_hash_lookup * r_left + cm.f_hash_build * unique_l + cm.f_hash_lookup * r_right;
-            let build_right =
-                cm.f_hash_lookup * r_right + cm.f_hash_build * unique_r + cm.f_hash_lookup * r_left;
-            *total += build_left.min(build_right) + cm.f_index_build * out_total;
+                let (lmap, rmap) = (l.by_tag(), r.by_tag());
 
-            let out_cards: TagCards = order.into_iter().map(|t| (t.clone(), out[&t])).collect();
-            Ok((
-                TPlan::Join {
+                // R'_left / R'_right: union of participating slices, summed
+                // in the children's tag order — float addition is not
+                // associative, so a sum in hash order would make near-tie
+                // picks depend on the process's hash seed.
+                let part_l: FxHashSet<&Tag> = map.entries.iter().map(|e| &e.left).collect();
+                let part_r: FxHashSet<&Tag> = map.entries.iter().map(|e| &e.right).collect();
+                let r_left = l.sum_of(&part_l);
+                let r_right = r.sum_of(&part_r);
+                let jsel = est.join_selectivity(&cond.left, &cond.right)?;
+
+                // Output cardinalities per entry.
+                let mut out = Edge::default();
+                let mut index = FxHashMap::default();
+                let mut out_total = 0.0;
+                for e in &map.entries {
+                    let (Some(&lc), Some(&rc)) = (lmap.get(&e.left), rmap.get(&e.right)) else {
+                        continue;
+                    };
+                    let c = lc * rc * jsel;
+                    out_total += c;
+                    out.add(&mut index, &e.out, c);
+                }
+
+                // Build side: cheaper of the two (footnote 4).
+                let unique_l = r_left.min(est.ndv(&cond.left)?);
+                let unique_r = r_right.min(est.ndv(&cond.right)?);
+                let build_left = cm.f_hash_lookup * r_left
+                    + cm.f_hash_build * unique_l
+                    + cm.f_hash_lookup * r_right;
+                let build_right = cm.f_hash_lookup * r_right
+                    + cm.f_hash_build * unique_r
+                    + cm.f_hash_lookup * r_left;
+                self.total += build_left.min(build_right) + cm.f_index_build * out_total;
+                if !self.below_bound() {
+                    return Ok(None);
+                }
+
+                let tplan = TPlan::Join {
                     cond: cond.clone(),
-                    map,
+                    map: Arc::clone(&map),
                     left: Box::new(tleft),
                     right: Box::new(tright),
-                },
-                out_cards,
-            ))
+                };
+                Ok(Some((tplan, out)))
+            }
+            APlan::Union { .. } => Err(BasiliskError::Plan(
+                "union operators do not exist under tagged execution".into(),
+            )),
         }
-        APlan::Union { .. } => Err(BasiliskError::Plan(
-            "union operators do not exist under tagged execution".into(),
-        )),
     }
 }
 
@@ -424,6 +523,77 @@ mod tests {
             a.out_rows,
             b.out_rows
         );
+    }
+
+    /// Every plan TPullup's and TIterPush's walks can visit on the
+    /// fixture, deduplicated: everything reachable from the pushdown plan
+    /// by pulling filters up one node at a time, and everything reachable
+    /// from the all-filters-above-the-join plan by pushing filters down to
+    /// their scans.
+    fn walk_candidates(tree: &PredicateTree) -> Vec<APlan> {
+        let pushdown = pushdown_plan(tree);
+        let mut above = APlan::join(
+            JoinCond::new(ColumnRef::new("t", "id"), ColumnRef::new("mi", "movie_id")),
+            APlan::scan("t"),
+            APlan::scan("mi"),
+        );
+        for f in pushdown.filters() {
+            above = APlan::filter(f, above);
+        }
+        let mut seen = vec![pushdown, above];
+        let mut next = 0;
+        while next < seen.len() {
+            let plan = seen[next].clone();
+            next += 1;
+            for f in plan.filters() {
+                let alias = tree.atom(f).unwrap().table();
+                let pushed = plan.remove_filter(f).0.insert_filter_above_scan(f, alias);
+                for moved in [plan.pull_up_filter(f), pushed].into_iter().flatten() {
+                    if !seen.contains(&moved) {
+                        seen.push(moved);
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    /// Bounded costing is unbounded costing cut short: pruned exactly
+    /// when the full cost is not below the bound, the same cost bits
+    /// otherwise — for every walk candidate against every candidate's
+    /// cost (ties included), its successor, zero and infinity.
+    #[test]
+    fn bounded_costing_prunes_exactly_at_the_bound() {
+        let (_cat, est, tree) = setup();
+        let builder = TagMapBuilder::new(&tree, TagMapStrategy::Generalized { use_closure: true });
+        let cm = CostModel::default();
+        let candidates = walk_candidates(&tree);
+        assert!(candidates.len() > 20, "{} candidates", candidates.len());
+        let costs: Vec<f64> = candidates
+            .iter()
+            .map(|p| annotate_tagged(p, &tree, &builder, &est, &cm).unwrap().cost)
+            .collect();
+        let mut bounds = vec![0.0, f64::INFINITY];
+        for &c in &costs {
+            bounds.extend([c, c.next_up()]);
+        }
+        let mut pruned = 0;
+        for (plan, &cost) in candidates.iter().zip(&costs) {
+            for &bound in &bounds {
+                let got = annotate_tagged_below(plan, &tree, &builder, &est, &cm, bound).unwrap();
+                match got {
+                    None => {
+                        assert!(cost >= bound, "pruned {cost} under bound {bound}");
+                        pruned += 1;
+                    }
+                    Some(ann) => {
+                        assert!(cost < bound, "kept {cost} at bound {bound}");
+                        assert_eq!(ann.cost.to_bits(), cost.to_bits());
+                    }
+                }
+            }
+        }
+        assert!(pruned > 0 && pruned < candidates.len() * bounds.len());
     }
 
     #[test]

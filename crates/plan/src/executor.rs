@@ -138,13 +138,13 @@ impl Model for Tagged<'_> {
     fn node(plan: &TPlan) -> Node<'_, Self> {
         match plan {
             TPlan::Scan { alias } => Node::Scan(alias),
-            TPlan::Filter { map, child, .. } => Node::Filter(map, &**child),
+            TPlan::Filter { map, child, .. } => Node::Filter(&**map, &**child),
             TPlan::Join {
                 cond,
                 map,
                 left,
                 right,
-            } => Node::Join(cond, map, &**left, &**right),
+            } => Node::Join(cond, &**map, &**left, &**right),
         }
     }
 

@@ -35,7 +35,9 @@ use basilisk_types::{BasiliskError, Result};
 
 use crate::aplan::APlan;
 use crate::benefit::benefiting_order;
-use crate::cost::{annotate_tagged, cost_traditional, CostModel, TaggedAnnotation};
+use crate::cost::{
+    annotate_tagged, annotate_tagged_below, cost_traditional, CostModel, TaggedAnnotation,
+};
 use crate::join_order::{greedy_join_tree, local_survival};
 use crate::query::Query;
 
@@ -152,6 +154,27 @@ fn tagged(input: &PlannerInput<'_>, aplan: APlan, chosen: PlannerKind) -> Result
     Ok(PlannedQuery::Tagged { aplan, ann, chosen })
 }
 
+/// Annotate `candidate` if it is strictly cheaper than `best`, the walk's
+/// own incumbent. Costing stops as soon as the candidate's running cost
+/// reaches `best`'s, which cannot change the outcome: a walk accepts
+/// only on a strict `<`. The bound is never another planner's cost — a
+/// walk continues from the plans it accepts, so an outside bound would
+/// change which candidates it visits.
+fn cheaper_than(
+    input: &PlannerInput<'_>,
+    candidate: &APlan,
+    best: &TaggedAnnotation,
+) -> Result<Option<TaggedAnnotation>> {
+    annotate_tagged_below(
+        candidate,
+        input.tree,
+        input.builder,
+        input.est,
+        input.cm,
+        best.cost,
+    )
+}
+
 /// Atoms grouped by the alias they touch.
 fn atoms_by_alias(tree: &PredicateTree) -> BTreeMap<String, Vec<ExprId>> {
     let mut map: BTreeMap<String, Vec<ExprId>> = BTreeMap::new();
@@ -212,9 +235,7 @@ pub fn t_pullup(input: &PlannerInput<'_>, junctures_only: bool) -> Result<Planne
                 break;
             };
             if !junctures_only || candidate.filter_sits_on_join(filter) {
-                let cand_ann =
-                    annotate_tagged(&candidate, input.tree, input.builder, input.est, input.cm)?;
-                if cand_ann.cost < best_ann.cost {
+                if let Some(cand_ann) = cheaper_than(input, &candidate, &best_ann)? {
                     best_plan = candidate.clone();
                     best_ann = cand_ann;
                 }
@@ -273,8 +294,7 @@ pub fn t_iterpush(input: &PlannerInput<'_>) -> Result<PlannedQuery> {
         let Some(candidate) = removed.insert_filter_above_scan(filter, &alias) else {
             continue;
         };
-        let cand_ann = annotate_tagged(&candidate, input.tree, input.builder, input.est, input.cm)?;
-        if cand_ann.cost < best_ann.cost {
+        if let Some(cand_ann) = cheaper_than(input, &candidate, &best_ann)? {
             best_plan = candidate;
             best_ann = cand_ann;
         }

@@ -210,7 +210,6 @@ pub struct QuerySession {
     tables: TableSet,
     strategy: TagMapStrategy,
     three_valued: bool,
-    cm: CostModel,
     ctx: ExecContext,
 }
 
@@ -247,7 +246,6 @@ impl QuerySession {
             tables,
             strategy: TagMapStrategy::Generalized { use_closure: true },
             three_valued,
-            cm: CostModel::default(),
             ctx: ExecContext::new(WorkerPool::default_workers()),
         })
     }
@@ -275,7 +273,6 @@ impl QuerySession {
             tables,
             strategy: TagMapStrategy::Generalized { use_closure: true },
             three_valued,
-            cm: CostModel::default(),
             ctx,
         }
     }
@@ -332,11 +329,6 @@ impl QuerySession {
     /// Enable three-valued tag maps (needed when the data contains NULLs).
     pub fn with_three_valued(mut self, enabled: bool) -> Self {
         self.three_valued = enabled;
-        self
-    }
-
-    pub fn with_cost_model(mut self, cm: CostModel) -> Self {
-        self.cm = cm;
         self
     }
 
@@ -413,7 +405,7 @@ impl QuerySession {
             tree,
             est: &self.est,
             builder: &builder,
-            cm: &self.cm,
+            cm: &CostModel::default(),
         };
         Ok(Plan::WithPredicate(run_planner(kind, &input)?))
     }
