@@ -2,7 +2,7 @@
 //! at <0.1% of runtime except when TPullup's pull-one-node search grows
 //! with the clause count, Fig. 4c).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use basilisk::{Catalog, PlannerKind, QuerySession};
 use basilisk_workload::{dnf_query, generate_synthetic, job_queries, SyntheticConfig};
@@ -63,5 +63,39 @@ fn bench_job_planning(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_synthetic_planning, bench_job_planning);
+/// TCombined over every group of `job_queries(43)` at IMDB scale 0.5:
+/// the planning the paper counts into each query's runtime (§5.2), summed
+/// over the whole JOB workload instead of one group.
+fn bench_job_all_groups(c: &mut Criterion) {
+    let mut catalog = Catalog::new();
+    for t in generate_imdb(&ImdbConfig {
+        scale: 0.5,
+        seed: 42,
+    })
+    .unwrap()
+    {
+        catalog.add_table(t).unwrap();
+    }
+    let sessions: Vec<QuerySession> = job_queries(43)
+        .into_iter()
+        .map(|g| QuerySession::new(&catalog, g.query).unwrap())
+        .collect();
+    let mut group = c.benchmark_group("plan_job_all_groups");
+    group.sample_size(10);
+    group.bench_function(PlannerKind::TCombined.name(), |b| {
+        b.iter(|| {
+            for session in &sessions {
+                black_box(session.plan(PlannerKind::TCombined).unwrap());
+            }
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_synthetic_planning,
+    bench_job_planning,
+    bench_job_all_groups
+);
 criterion_main!(benches);
