@@ -24,8 +24,8 @@ use crate::query::JoinCond;
 ///
 /// Every constant must be non-negative: then every cost term is too (the
 /// estimator clamps selectivities into `[0, 1]`), a running total never
-/// falls, and [`annotate_tagged_below`] may stop a plan as soon as its
-/// partial cost reaches a bound without changing any comparison.
+/// falls, and the planners' walks may stop costing a candidate as soon as
+/// its partial cost reaches their best plan's without changing any pick.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Calibrates filter cost against join cost (`α`).
@@ -147,7 +147,7 @@ pub fn annotate_tagged(
 /// included. Costing stops as soon as the running cost reaches `bound`;
 /// that is exact because every cost term is non-negative (see
 /// [`CostModel`]) and a float sum of non-negative terms never decreases.
-pub fn annotate_tagged_below(
+pub(crate) fn annotate_tagged_below(
     plan: &APlan,
     tree: &PredicateTree,
     builder: &TagMapBuilder<'_>,
@@ -280,7 +280,7 @@ impl<'a> Sim<'a> {
                 }
                 let tplan = TPlan::Filter {
                     node: *node,
-                    map: Arc::clone(&map),
+                    map,
                     child: Box::new(tchild),
                 };
                 Ok(Some((tplan, out)))
@@ -335,7 +335,7 @@ impl<'a> Sim<'a> {
 
                 let tplan = TPlan::Join {
                     cond: cond.clone(),
-                    map: Arc::clone(&map),
+                    map,
                     left: Box::new(tleft),
                     right: Box::new(tright),
                 };
