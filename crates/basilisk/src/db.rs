@@ -18,9 +18,9 @@ use crate::result::SqlResult;
 /// SQL entry points ([`Database::sql`], [`Database::prepare`] /
 /// [`Database::execute_prepared`]) run on an internal resident
 /// [`Server`]: one shared worker pool, reusable execution contexts and a
-/// prepared-statement plan cache, so repeated statements skip parsing and
-/// planning (byte-identical repeats skip even lexing). The server is a
-/// catalog *snapshot*, rebuilt lazily after any registration.
+/// prepared-statement plan cache, so a repeated statement shape skips
+/// planning and only binds its literals. The server is a catalog
+/// *snapshot*, rebuilt lazily after any registration.
 pub struct Database {
     catalog: Catalog,
     cache: Arc<LfuPageCache>,
@@ -139,27 +139,14 @@ impl Database {
     /// `COUNT(*)` are handled by [`Database::sql`]; this returns the bare
     /// logical query.
     pub fn parse(&self, sql: &str) -> Result<Query> {
-        Ok(self.parse_full(sql)?.0)
-    }
-
-    fn parse_full(&self, sql: &str) -> Result<(Query, Option<usize>, bool)> {
         let stmt = parse_select(sql)?;
-        let limit = stmt.limit;
-        let star = matches!(stmt.projection, Projection::Star);
-        let is_count = matches!(stmt.projection, Projection::Count);
+        let star = stmt.projection == Projection::Star;
         let mut query = stmt.into_query();
         if star {
-            let mut cols = Vec::new();
-            for (alias, table_name) in &query.aliases {
-                let table = self.catalog.table(table_name)?;
-                for name in table.column_names() {
-                    cols.push(basilisk_expr::ColumnRef::new(alias.clone(), name));
-                }
-            }
-            query.projection = cols;
+            query = query.select_all(&self.catalog)?;
         }
         query.validate()?;
-        Ok((query, limit, is_count))
+        Ok(query)
     }
 
     /// Run a SQL query with the default planner, through the internal

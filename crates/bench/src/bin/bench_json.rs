@@ -309,7 +309,15 @@ fn main() {
         .with_workers(1);
     let scan_plan = scan_session.plan(PlannerKind::TCombined).unwrap();
     let run_statement = |tracer: Option<&Tracer>| {
-        let out = scan_session.execute_traced(&scan_plan, tracer).unwrap();
+        let out = scan_session
+            .context()
+            .execute(
+                &scan_plan,
+                scan_session.tables(),
+                scan_session.tree(),
+                tracer,
+            )
+            .unwrap();
         assert_eq!(out.count(), scan_expected, "selective statement answer");
         out.count()
     };

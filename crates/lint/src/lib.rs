@@ -32,10 +32,11 @@
 //!   would freeze the layout and break that transparency.
 //! * **`variant-twins`** — no `pub fn` whose name ends in `_par`,
 //!   `_traced` or `_with` under `crates/core/src`, `crates/exec/src` or
-//!   in `crates/plan/src/executor.rs`: operators and plan drivers take
-//!   one `ExecCtx` (serial is `pool: None`, untraced is `tracer: None`),
-//!   and a suffixed public twin is how the
-//!   `{tagged,traditional} × {·,_with,_traced}` matrix grew.
+//!   `crates/plan/src`: operators, plan drivers and the execution
+//!   context take one `ExecCtx` or `Option<&Tracer>` (serial is
+//!   `pool: None`, untraced is `tracer: None`), and a suffixed public
+//!   twin is how the `{tagged,traditional} × {·,_with,_traced}` matrix
+//!   grew.
 //!
 //! The scanner strips comments, strings, char literals and raw strings
 //! while preserving line structure, so the rules only ever see real
@@ -590,10 +591,10 @@ pub fn classify(rel: &Path) -> Rules {
     // benches included) must stay encoding-agnostic.
     let encoded = crate_name != Some("storage");
 
-    // The operator crates and the plan driver: one function per
-    // operator, variants are `ExecCtx` fields.
-    let twins = (matches!(crate_name, Some("core") | Some("exec")) && parts.get(2) == Some(&"src"))
-        || parts == ["crates", "plan", "src", "executor.rs"];
+    // The operator crates and the plan crate: one function per
+    // operator or execution entry, variants are `ExecCtx` fields.
+    let twins = matches!(crate_name, Some("core") | Some("exec") | Some("plan"))
+        && parts.get(2) == Some(&"src");
 
     Rules {
         safety: true,
@@ -706,7 +707,8 @@ mod tests {
         let r = classify(Path::new("crates/exec/src/relation.rs"));
         assert!(r.encoded && r.twins);
         assert!(classify(Path::new("crates/plan/src/executor.rs")).twins);
-        assert!(!classify(Path::new("crates/plan/src/session.rs")).twins);
+        assert!(classify(Path::new("crates/plan/src/session.rs")).twins);
+        assert!(!classify(Path::new("crates/plan/tests/count_differential.rs")).twins);
         assert!(!classify(Path::new("crates/core/tests/parallel_ops.rs")).twins);
         let r = classify(Path::new("tests/serve_concurrent.rs"));
         assert!(!r.sleep);

@@ -9,8 +9,8 @@
 use std::path::Path;
 
 use basilisk_lint::{
-    lint_source, Finding, Rules, RULE_ENCODED, RULE_FACADE, RULE_FORBID, RULE_SAFETY, RULE_SLEEP,
-    RULE_TWINS,
+    classify, lint_source, Finding, Rules, RULE_ENCODED, RULE_FACADE, RULE_FORBID, RULE_SAFETY,
+    RULE_SLEEP, RULE_TWINS,
 };
 
 fn run(fixture: &str, rules: Rules) -> Vec<Finding> {
@@ -147,6 +147,19 @@ fn variant_twins_fire() {
         vec![4, 8, 12],
         "private twins, mid-name matches and comments stay quiet"
     );
+}
+
+/// The whole plan crate is covered, not only its walker: a session or
+/// context method `execute_traced` beside `execute` is such a twin.
+#[test]
+fn plan_crate_sources_are_twin_checked() {
+    for file in ["crates/plan/src/session.rs", "crates/plan/src/executor.rs"] {
+        let rules = classify(Path::new(file));
+        let f = run("fail_variant_twins.rs", rules);
+        assert_eq!(f.len(), 3, "{file}: {f:?}");
+        assert!(f.iter().all(|x| x.rule == RULE_TWINS), "{file}: {f:?}");
+        assert!(run("pass_variant_twins.rs", rules).is_empty(), "{file}");
+    }
 }
 
 #[test]

@@ -1,5 +1,6 @@
 //! The logical query: the unit planners plan.
 
+use basilisk_catalog::Catalog;
 use basilisk_expr::{ColumnRef, Expr};
 use basilisk_types::{BasiliskError, Result};
 
@@ -81,6 +82,19 @@ impl Query {
     pub fn select(mut self, columns: Vec<ColumnRef>) -> Query {
         self.projection = columns;
         self
+    }
+
+    /// Project every column of every table, in `FROM` order and each
+    /// table's column order: SQL's `SELECT *`, expanded against the
+    /// catalog.
+    pub fn select_all(self, catalog: &Catalog) -> Result<Query> {
+        let mut columns = Vec::new();
+        for (alias, table) in &self.aliases {
+            for name in catalog.table(table)?.column_names() {
+                columns.push(ColumnRef::new(alias.clone(), name));
+            }
+        }
+        Ok(self.select(columns))
     }
 
     pub fn alias_names(&self) -> Vec<&str> {

@@ -106,13 +106,13 @@ pub fn atom_has_null_literal(atom: &basilisk_expr::Atom) -> bool {
 /// The reusable execution resources behind a [`QuerySession`]: the
 /// session [`MaskArena`] (with its column/value pools and the deferred
 /// result columns awaiting reclaim) plus a shared handle to a
-/// [`WorkerPool`].
+/// [`WorkerPool`] — and the one place plans execute.
 ///
-/// A context outlives any single query. The serving layer keeps a pool
-/// of contexts and moves one into each request's session
-/// ([`QuerySession::with_context`]); when the request completes,
-/// [`QuerySession::into_context`] hands the context back — warm pools,
-/// deferred columns and all — so arena steady state (`fresh() == 0`)
+/// A context outlives any single query. Execution borrows everything it
+/// reads (the plan, its tables, the predicate tree the plan's `ExprId`s
+/// address), so the serving layer keeps a pool of contexts and lends one
+/// to each request without moving it anywhere: warm pools, deferred
+/// columns and all stay put, and arena steady state (`fresh() == 0`)
 /// holds **across statements**, not just across executions of one
 /// statement. Several contexts may share one `Arc<WorkerPool>`: worker
 /// arenas belong to the pool, the session arena to the context, and the
@@ -169,8 +169,114 @@ impl ExecContext {
         *deferred = still;
     }
 
-    fn defer_value(&self, col: &Arc<Column>) {
-        self.deferred_values.borrow_mut().push(Arc::clone(col));
+    /// Execute a planned query over `tables`. `tree` is the predicate
+    /// tree the plan's `ExprId`s address (`None` only for a join-only
+    /// plan). With a [`Tracer`], every plan operator records a span
+    /// (nested to mirror the plan tree) with row counts, morsel fan-out,
+    /// parallel-region id and per-atom evaluation profiles — see
+    /// [`execute_tagged`](crate::execute_tagged); the output is
+    /// bit-for-bit identical to the untraced run.
+    pub fn execute(
+        &self,
+        plan: &Plan,
+        tables: &TableSet,
+        tree: Option<&PredicateTree>,
+        tracer: Option<&Tracer>,
+    ) -> Result<QueryOutput> {
+        let rows = match self.run(plan, tables, tree, tracer, false)? {
+            Emit::Rows(rows) => rows,
+            Emit::Count(_) => unreachable!("only a count is answered with a count"),
+        };
+        // The output's index columns are pooled buffers that now escape
+        // to the caller; park a handle so the pool can reclaim them via
+        // `Arc::try_unwrap` once the caller releases the result.
+        for col in rows.cols() {
+            self.arena.columns().defer(Arc::clone(col));
+        }
+        Ok(QueryOutput { rows })
+    }
+
+    /// How many rows [`Self::execute`] would return, without
+    /// materializing any of them: the plan runs to its root operator,
+    /// which counts there (see the `executor` module docs) — a
+    /// `COUNT(*)` statement's answer. The span tree under `tracer` has
+    /// the same names and shape as an `execute`'s; the root operator's
+    /// `rows_out` is the count.
+    pub fn count(
+        &self,
+        plan: &Plan,
+        tables: &TableSet,
+        tree: Option<&PredicateTree>,
+        tracer: Option<&Tracer>,
+    ) -> Result<usize> {
+        match self.run(plan, tables, tree, tracer, true)? {
+            Emit::Count(n) => Ok(n),
+            Emit::Rows(_) => unreachable!("a count is answered with a count"),
+        }
+    }
+
+    /// Drive `plan` on this context for its rows or its count.
+    fn run(
+        &self,
+        plan: &Plan,
+        tables: &TableSet,
+        tree: Option<&PredicateTree>,
+        tracer: Option<&Tracer>,
+        count: bool,
+    ) -> Result<Emit<IdxRelation>> {
+        // Sweep result columns deferred by earlier executions: once the
+        // caller has dropped those outputs, their buffers return to the
+        // pools and this run re-checks them out instead of allocating.
+        self.sweep();
+        let pool = &*self.pool;
+        let cx = ExecCtx {
+            arena: &self.arena,
+            pool: (pool.workers() > 1).then_some(pool),
+            tracer,
+        };
+        match plan {
+            Plan::JoinOnly(aplan) => execute_traditional(&cx, aplan, tables, None, count),
+            Plan::WithPredicate(p) => {
+                let tree = tree.ok_or_else(|| {
+                    BasiliskError::Plan("a predicate plan needs its predicate tree".into())
+                })?;
+                match p {
+                    PlannedQuery::Tagged { ann, .. } => {
+                        execute_tagged(&cx, &ann.plan, &ann.projection, tables, tree, count)
+                    }
+                    PlannedQuery::Traditional { aplan, .. } => {
+                        execute_traditional(&cx, aplan, tables, Some(tree), count)
+                    }
+                }
+            }
+        }
+    }
+
+    /// Materialize `projection` for an output of [`Self::execute`]. The
+    /// columns draw their typed buffers from the context's value pool
+    /// and are deferred like result index columns: once the caller drops
+    /// them, the next execution's sweep recycles the buffers — so a
+    /// serving loop (execute → project → release) allocates nothing in
+    /// steady state, value columns included.
+    pub fn project(
+        &self,
+        tables: &TableSet,
+        output: &QueryOutput,
+        projection: &[ColumnRef],
+    ) -> Result<Vec<(ColumnRef, Arc<Column>)>> {
+        let cols = project_in(tables, &output.rows, projection, &self.arena)?;
+        Ok(cols
+            .into_iter()
+            .map(|(cref, col)| {
+                let col = Arc::new(col);
+                // Every pooled column must eventually recycle (skipping
+                // one would leave its checkout counted outstanding
+                // forever). The list is bounded by the caller's own live
+                // results: each execute sweeps released entries.
+                self.deferred_values.borrow_mut().push(Arc::clone(&col));
+                (cref, col)
+            })
+            .collect())
     }
 }
 
@@ -250,33 +356,6 @@ impl QuerySession {
         })
     }
 
-    /// Build a session for a statement whose catalog-derived parts were
-    /// computed once at prepare time, reusing a checked-out execution
-    /// context — the plan-cache hit path. Skips validation, table-set
-    /// resolution and three-valued detection (all properties of the
-    /// statement's *shape*, not its literal values). Infallible by
-    /// design: the serving layer must never lose a pooled context to a
-    /// constructor error (the estimator, a per-alias handle map that a
-    /// re-driven cached plan never consults, is built by the caller).
-    pub fn prepared(
-        est: Estimator,
-        query: Query,
-        tables: TableSet,
-        three_valued: bool,
-        ctx: ExecContext,
-    ) -> QuerySession {
-        let tree = query.predicate.as_ref().map(PredicateTree::build);
-        QuerySession {
-            query,
-            tree,
-            est,
-            tables,
-            strategy: TagMapStrategy::Generalized { use_closure: true },
-            three_valued,
-            ctx,
-        }
-    }
-
     /// Override the tag-map strategy (ablations).
     pub fn with_strategy(mut self, strategy: TagMapStrategy) -> Self {
         self.strategy = strategy;
@@ -298,21 +377,6 @@ impl QuerySession {
         let workers = self.ctx.pool.workers();
         self.ctx.pool = Arc::new(WorkerPool::new(workers).with_morsel_rows(rows));
         self
-    }
-
-    /// Replace the session's execution context (arena, deferred results,
-    /// worker-pool handle) with one supplied by the caller — how the
-    /// serving layer threads a warm, reusable context through a request.
-    pub fn with_context(mut self, ctx: ExecContext) -> Self {
-        self.ctx = ctx;
-        self
-    }
-
-    /// Tear the session down, handing its execution context back (after
-    /// a sweep) for the next statement to reuse.
-    pub fn into_context(self) -> ExecContext {
-        self.ctx.sweep();
-        self.ctx
     }
 
     /// The configured worker count.
@@ -410,79 +474,17 @@ impl QuerySession {
         Ok(Plan::WithPredicate(run_planner(kind, &input)?))
     }
 
-    /// Execute a previously built plan.
+    /// Execute a previously built plan (see [`ExecContext::execute`]).
     pub fn execute(&self, plan: &Plan) -> Result<QueryOutput> {
-        self.execute_traced(plan, None)
+        self.ctx
+            .execute(plan, &self.tables, self.tree.as_ref(), None)
     }
 
-    /// [`QuerySession::execute`] with an optional per-request [`Tracer`]:
-    /// when `Some`, every plan operator records a span (nested to mirror
-    /// the plan tree) with row counts, morsel fan-out, parallel-region id
-    /// and per-atom evaluation profiles — see
-    /// [`execute_tagged`](crate::execute_tagged). Output is bit-for-bit
-    /// identical to the untraced run.
-    pub fn execute_traced(&self, plan: &Plan, tracer: Option<&Tracer>) -> Result<QueryOutput> {
-        let rows = match self.run_plan(plan, tracer, false)? {
-            Emit::Rows(rows) => rows,
-            Emit::Count(_) => unreachable!("only a count is answered with a count"),
-        };
-        // The output's index columns are pooled buffers that now escape
-        // to the caller; park a handle so the pool can reclaim them via
-        // `Arc::try_unwrap` once the caller releases the result.
-        for col in rows.cols() {
-            self.ctx.arena.columns().defer(std::sync::Arc::clone(col));
-        }
-        Ok(QueryOutput { rows })
-    }
-
-    /// How many rows [`Self::execute`] would return, without
-    /// materializing any of them: the plan runs to its root operator,
-    /// which counts there (see the `executor` module docs) — a
-    /// `COUNT(*)` statement's answer. The span tree under `tracer` has
-    /// the same names and shape as an `execute`'s; the root operator's
-    /// `rows_out` is the count.
+    /// Count a plan's rows without building them (see
+    /// [`ExecContext::count`]).
     pub fn count(&self, plan: &Plan, tracer: Option<&Tracer>) -> Result<usize> {
-        match self.run_plan(plan, tracer, true)? {
-            Emit::Count(n) => Ok(n),
-            Emit::Rows(_) => unreachable!("a count is answered with a count"),
-        }
-    }
-
-    /// Drive `plan` on the session's context for its rows or its count.
-    fn run_plan(
-        &self,
-        plan: &Plan,
-        tracer: Option<&Tracer>,
-        count: bool,
-    ) -> Result<Emit<IdxRelation>> {
-        // Sweep result columns deferred by earlier executions: once the
-        // caller has dropped those outputs, their buffers return to the
-        // pools and this run re-checks them out instead of allocating.
-        self.ctx.sweep();
-        let pool = &*self.ctx.pool;
-        let cx = ExecCtx {
-            arena: &self.ctx.arena,
-            pool: (pool.workers() > 1).then_some(pool),
-            tracer,
-        };
-        let tables = &self.tables;
-        match plan {
-            Plan::JoinOnly(aplan) => execute_traditional(&cx, aplan, tables, None, count),
-            Plan::WithPredicate(p) => {
-                let tree = self
-                    .tree
-                    .as_ref()
-                    .ok_or_else(|| BasiliskError::Plan("plan/session mismatch".into()))?;
-                match p {
-                    PlannedQuery::Tagged { ann, .. } => {
-                        execute_tagged(&cx, &ann.plan, &ann.projection, tables, tree, count)
-                    }
-                    PlannedQuery::Traditional { aplan, .. } => {
-                        execute_traditional(&cx, aplan, tables, Some(tree), count)
-                    }
-                }
-            }
-        }
+        self.ctx
+            .count(plan, &self.tables, self.tree.as_ref(), tracer)
     }
 
     /// Plan + execute, reporting the timing split.
@@ -502,31 +504,11 @@ impl QuerySession {
         ))
     }
 
-    /// Materialize the query's projection columns for an output. The
-    /// columns draw their typed buffers from the session's value pool
-    /// and are deferred like result index columns: once the caller drops
-    /// them, the next `execute()` sweep recycles the buffers — so a
-    /// serving loop (execute → project → release) allocates nothing in
-    /// steady state, value columns included.
+    /// Materialize the query's projection columns for an output (see
+    /// [`ExecContext::project`]).
     pub fn project(&self, output: &QueryOutput) -> Result<Vec<(ColumnRef, Arc<Column>)>> {
-        let cols = project_in(
-            &self.tables,
-            &output.rows,
-            &self.query.projection,
-            &self.ctx.arena,
-        )?;
-        Ok(cols
-            .into_iter()
-            .map(|(cref, col)| {
-                let col = Arc::new(col);
-                // Every pooled column must eventually recycle (skipping
-                // one would leave its checkout counted outstanding
-                // forever). The list is bounded by the caller's own live
-                // results: each execute sweeps released entries.
-                self.ctx.defer_value(&col);
-                (cref, col)
-            })
-            .collect())
+        self.ctx
+            .project(&self.tables, output, &self.query.projection)
     }
 
     /// Human-readable plan rendering (EXPLAIN).

@@ -1,17 +1,12 @@
-//! The prepared-statement plan cache.
-//!
-//! Two maps, one lifecycle:
-//!
-//! * the **statement cache** — an LRU keyed by the *normalized* text
-//!   (literals replaced by `?n`; see [`basilisk_sql::normalize_select`])
-//!   plus the planner kind, holding an [`Arc<PreparedStatement>`]: the
-//!   parsed template, the catalog-derived session parts (table set,
-//!   three-valued flag), the chosen [`Plan`] with its tag maps, and the
-//!   prepare-time predicate tree the plan's `ExprId`s address;
-//! * the **text cache** — a smaller LRU from *raw* SQL text to
-//!   `(statement, pre-extracted parameters)`, so a byte-identical
-//!   repeat of a query skips even lexing: the hot path of
-//!   `Database::sql` in a serving loop is pure bind + execute.
+//! The prepared-statement plan cache: one LRU keyed by the *normalized*
+//! text (literals replaced by `?n`; see
+//! [`basilisk_sql::normalize_select`]) plus the planner kind, holding an
+//! [`Arc<PreparedStatement>`] — the parsed template, the catalog-derived
+//! session parts (table set, three-valued flag), the chosen [`Plan`]
+//! with its tag maps, and the prepare-time predicate tree the plan's
+//! `ExprId`s address. Every SQL request lexes and normalizes its text
+//! (a few hundredths of a millisecond) and then binds into the cached
+//! shape.
 //!
 //! Eviction drops the cache's reference only: [`Prepared`] handles held
 //! by clients keep their statement alive and executable (they simply no
@@ -24,7 +19,7 @@ use std::collections::HashMap;
 use basilisk_exec::TableSet;
 use basilisk_expr::{ExprId, PredicateTree};
 use basilisk_plan::{Plan, PlannerKind, Query};
-use basilisk_types::{Truth, Value};
+use basilisk_types::Truth;
 
 /// One cached statement: everything needed to go from bound parameter
 /// values to execution without touching the parser or a planner.
@@ -138,24 +133,16 @@ impl<V> Lru<V> {
     }
 }
 
-/// A raw-text entry: the statement it accelerates plus the parameter
-/// values extracted from that exact text.
-pub(crate) type TextEntry = (Arc<PreparedStatement>, Arc<Vec<Value>>);
-
-/// The two-level cache (see the module docs). Thread-safe; lock scope is
+/// The statement LRU (see the module docs). Thread-safe; lock scope is
 /// a map probe, never a parse or a plan.
 pub(crate) struct PlanCache {
     statements: Mutex<Lru<Arc<PreparedStatement>>>,
-    texts: Mutex<Lru<TextEntry>>,
 }
 
 impl PlanCache {
     pub(crate) fn new(capacity: usize) -> Self {
         PlanCache {
             statements: Mutex::new(Lru::new(capacity)),
-            // Raw texts are strictly more numerous than shapes; give the
-            // text level the same budget (entries are two Arcs).
-            texts: Mutex::new(Lru::new(capacity)),
         }
     }
 
@@ -182,29 +169,6 @@ impl PlanCache {
             .lock()
             .unwrap()
             .insert(Self::full_key(stmt.planner, &stmt.key), Arc::clone(stmt))
-    }
-
-    pub(crate) fn get_text(&self, planner: PlannerKind, sql: &str) -> Option<TextEntry> {
-        self.texts
-            .lock()
-            .unwrap()
-            .get(&Self::full_key(planner, sql))
-            .cloned()
-    }
-
-    /// Text-level entries are an accelerator; their eviction is not a
-    /// plan eviction and is not counted.
-    pub(crate) fn put_text(
-        &self,
-        planner: PlannerKind,
-        sql: &str,
-        stmt: &Arc<PreparedStatement>,
-        params: Arc<Vec<Value>>,
-    ) {
-        self.texts
-            .lock()
-            .unwrap()
-            .insert(Self::full_key(planner, sql), (Arc::clone(stmt), params));
     }
 
     pub(crate) fn cached_statements(&self) -> usize {

@@ -33,10 +33,11 @@
 //!   [`Plan`](basilisk_plan::Plan) (tag maps included) in an LRU keyed
 //!   by the normalized text; [`Server::execute_prepared`] binds fresh
 //!   values and re-drives the cached plan — **zero parse, zero plan**.
-//!   [`Server::sql`] routes through the same cache (with an extra
-//!   raw-text level so byte-identical repeats skip even lexing). A
-//!   congruence guard re-plans the rare binding whose literal values
-//!   change the predicate DAG (content interning can merge equal atoms).
+//!   [`Server::sql`] normalizes its text and looks up the same cache,
+//!   so a repeated shape only binds. A congruence guard re-plans the
+//!   rare binding whose literal values change the predicate DAG
+//!   (content interning can merge equal atoms) — before admission, so
+//!   an execution context is only ever lent to a request that runs.
 //! * **Observability.** [`ServeStats`] snapshots cache
 //!   hits/misses/evictions, admission-queue depth and high-water mark,
 //!   per-lane admission counters, and a power-of-two latency histogram.
@@ -141,7 +142,7 @@ mod tests {
         assert_eq!((s.cache_hits, s.cache_misses), (0, 1));
         assert_eq!(s.statements_prepared, 1);
 
-        // Byte-identical repeat: raw-text hit, same answer.
+        // Byte-identical repeat: statement-cache hit, same answer.
         let again = srv.sql(Q).unwrap();
         assert!(again.cache_hit);
         assert_eq!(again.row_count, first.row_count);
@@ -422,8 +423,8 @@ mod tests {
         let root = traced.trace.as_ref().expect("trace requested");
         assert_eq!(root.name, "request");
         assert!(root.is_well_formed());
-        // The cache-hit path skips the parse span but still plans/waits/
-        // executes.
+        // The cache-hit path normalizes under `parse`, then binds under
+        // `plan`, waits and executes.
         let plan = root.child("plan").expect("plan span");
         assert_eq!(plan.int("cache_hit"), Some(1));
         assert_eq!(plan.int("rebind"), Some(0));
@@ -477,6 +478,53 @@ mod tests {
         assert_eq!(plans.len(), 1, "one plan span per request");
         assert_eq!(plans[0].int("cache_hit"), Some(0));
         assert_eq!(plans[0].int("rebind"), Some(0));
+        let covered: u64 = root.children.iter().map(|c| c.duration_micros).sum();
+        let outside = root.duration_micros.saturating_sub(covered);
+        assert!(
+            outside * 4 <= root.duration_micros,
+            "{outside} of {} µs outside every child span",
+            root.duration_micros
+        );
+    }
+
+    /// A binding the cached plan cannot serve re-plans under the
+    /// request's one `plan` span, before admission, so a traced rebound
+    /// request is accounted for by its children just like a cold one.
+    #[test]
+    fn rebound_traced_request_replans_inside_its_plan_span() {
+        let srv = server();
+        let stmt = srv
+            .prepare(
+                "SELECT t.id FROM title t JOIN scores s ON t.id = s.movie_id \
+                 WHERE (t.year > 2000 AND s.score > 7.0) OR (t.year > 1990 AND s.score > 8.5) \
+                 OR (t.year < 1910 AND s.score < 1.0) OR (t.name LIKE 'film 1%' AND s.score > 9.0)",
+            )
+            .unwrap();
+        assert_eq!(stmt.param_count(), 8);
+        // `t.year > 1995` twice: the two atoms intern to one node, so the
+        // cached plan's DAG no longer matches and the request re-plans.
+        let params = [
+            Value::Int(1995),
+            Value::Float(7.0),
+            Value::Int(1995),
+            Value::Float(8.5),
+            Value::Int(1910),
+            Value::Float(1.0),
+            Value::Str("film 1%".into()),
+            Value::Float(9.0),
+        ];
+        let planned = srv.stats().statements_prepared;
+        let r = srv
+            .submit(Request::prepared(&stmt, &params).trace(true))
+            .unwrap();
+        assert!(!r.cache_hit);
+        assert_eq!(srv.stats().statements_prepared, planned + 1, "re-planned");
+        let root = r.trace.as_ref().unwrap();
+        assert!(root.is_well_formed());
+        let plans: Vec<_> = root.children.iter().filter(|c| c.name == "plan").collect();
+        assert_eq!(plans.len(), 1, "one plan span per request");
+        assert_eq!(plans[0].int("cache_hit"), Some(0));
+        assert_eq!(plans[0].int("rebind"), Some(1));
         let covered: u64 = root.children.iter().map(|c| c.duration_micros).sum();
         let outside = root.duration_micros.saturating_sub(covered);
         assert!(

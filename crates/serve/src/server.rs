@@ -4,15 +4,18 @@
 //! # Request lifecycle
 //!
 //! ```text
-//! client thread ──► Request (client tag, priority) ──► admission lane
-//!        ──► DRR dispatch / context grant ──► bind params
-//!        ──► congruence guard ──► execute cached plan ──► project/limit
-//!        ──► context return (sweep) ──► Response
+//! client thread ──► Request (client tag, priority) ──► normalize
+//!        ──► statement cache (plan on a miss) ──► bind params
+//!        ──► congruence guard (re-plan if needed) ──► admission lane
+//!        ──► DRR dispatch / context grant ──► execute on the lent context
+//!        ──► project/limit ──► context return (sweep) ──► Response
 //! ```
 //!
-//! A `COUNT(*)` statement takes the same path but only *counts* its
-//! cached plan ([`QuerySession::count`]: the root operator counts, no
-//! output relation is built) and answers one synthetic `count(*)` row.
+//! All planning happens before admission; a context is held only while
+//! the plan runs and its output is materialized. A `COUNT(*)` statement
+//! takes the same path but only *counts* its plan
+//! ([`ExecContext::count`]: the root operator counts, no output
+//! relation is built) and answers one synthetic `count(*)` row.
 //!
 //! * **Admission** queues every request as a *ticket* in its client's
 //!   fairness lane; a deficit-round-robin dispatcher grants contexts
@@ -28,9 +31,9 @@
 //!   allocates nothing once each context's pools are warm.
 //! * **The plan cache** keys on normalized statement text (literals →
 //!   `?n`); hits bind fresh literal values into the cached template and
-//!   re-drive the cached plan — zero parse, zero plan. Two guards
-//!   re-plan the rare binding whose literal values change the
-//!   predicate DAG itself (see
+//!   re-drive the cached plan — zero plan work. Two guards re-plan the
+//!   rare binding whose literal values change the predicate DAG itself
+//!   (see
 //!   [`PredicateTree::congruent_modulo_values`]) or the implications
 //!   between its atoms that the plan's tag maps were built under
 //!   ([`implication_signature`]).
@@ -43,21 +46,20 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use basilisk_catalog::{Catalog, Estimator};
+use basilisk_catalog::Catalog;
+use basilisk_exec::TableSet;
 use basilisk_expr::subsume::implication_signature;
-use basilisk_expr::{ColumnRef, PredicateTree};
-use basilisk_plan::{
-    ExecContext, Plan, PlanTimings, PlannerKind, Query, QueryOutput, QuerySession,
-};
+use basilisk_expr::{ColumnRef, Expr, PredicateTree};
+use basilisk_plan::{ExecContext, Plan, PlanTimings, PlannerKind, QuerySession};
 use basilisk_sched::WorkerPool;
-use basilisk_sql::{bind_params, normalize_select, Projection};
+use basilisk_sql::{bind_params, normalize_select, Projection, SelectStmt};
 use basilisk_storage::Column;
 use basilisk_types::{
     BasiliskError, HistogramSnapshot, MetricsRegistry, Result, SlowLog, Tracer, Value,
 };
 
 use crate::admission::Admission;
-use crate::api::{Command, OutputColumns, Priority, Request, Response, ServeError};
+use crate::api::{Command, Priority, Request, Response, ServeError};
 use crate::cache::{PlanCache, Prepared, PreparedStatement};
 use crate::stats::{ServeStats, SlowQuery, StatsRecorder};
 
@@ -440,9 +442,8 @@ impl Server {
     }
 
     /// Run a SQL statement with an explicit planner, through the plan
-    /// cache: byte-identical repeats skip even lexing; same-shape
-    /// statements with different literals skip parsing and planning and
-    /// just bind.
+    /// cache: same-shape statements with different literals skip
+    /// planning and just bind.
     pub fn sql_with(&self, sql: &str, planner: PlannerKind) -> Result<Response> {
         self.sql_inner(sql, planner, "", Priority::Normal, None)
     }
@@ -455,56 +456,43 @@ impl Server {
         priority: Priority,
         tracer: Option<Tracer>,
     ) -> Result<Response> {
-        // Level 1: exact text. The parameters were extracted when this
-        // text first came through, so the hot path is bind + execute.
-        if let Some((stmt, params)) = self.cache.get_text(planner, sql) {
-            self.stats.cache_hit();
-            return self.run_statement(&stmt, &params, true, client, priority, tracer);
-        }
-        // Level 2: normalized shape.
-        let parse_span = tracer.as_ref().map(|t| t.begin("parse"));
-        let normalized = normalize_select(sql).inspect_err(|_| self.stats.error())?;
-        if let (Some(t), Some(s)) = (tracer.as_ref(), parse_span) {
-            t.end(s);
-        }
-        if let Some(stmt) = self.cache.get_statement(planner, &normalized.key) {
-            self.stats.cache_hit();
-            let params = Arc::new(normalized.params);
-            self.cache
-                .put_text(planner, sql, &stmt, Arc::clone(&params));
-            return self.run_statement(&stmt, &params, true, client, priority, tracer);
-        }
-        // Miss: plan, cache, execute. Planning runs under the request's
-        // one `plan` span, which `run_statement` finishes after the bind.
-        self.stats.cache_miss();
-        if let Some(t) = &tracer {
-            t.begin("plan");
-        }
-        let params = Arc::new(normalized.params);
-        let stmt = self
-            .plan_statement(normalized.key, params.len(), normalized.stmt, planner)
-            .inspect_err(|_| self.stats.error())?;
-        self.stats.evicted(self.cache.put_statement(&stmt));
-        self.cache
-            .put_text(planner, sql, &stmt, Arc::clone(&params));
-        self.run_statement(&stmt, &params, false, client, priority, tracer)
+        let (stmt, params, cache_hit) = self.lookup(sql, planner, tracer.as_ref())?;
+        self.run_statement(&stmt, &params, cache_hit, client, priority, tracer)
     }
 
     /// Parse, normalize and plan `sql`, returning a reusable handle.
     /// Re-preparing an already-cached shape is a cache hit and does no
     /// planning.
     pub fn prepare(&self, sql: &str) -> Result<Prepared> {
-        self.prepare_with(sql, self.default_planner)
+        let (inner, _, _) = self.lookup(sql, self.default_planner, None)?;
+        Ok(Prepared { inner })
     }
 
-    pub fn prepare_with(&self, sql: &str, planner: PlannerKind) -> Result<Prepared> {
+    /// The statement `sql` is an instance of, its literal values and
+    /// whether the plan cache already held it: normalize, probe the
+    /// statement LRU, and on a miss plan the shape and insert it. A
+    /// traced miss plans under the request's one `plan` span, which
+    /// [`Self::run_statement`] finishes after the bind.
+    fn lookup(
+        &self,
+        sql: &str,
+        planner: PlannerKind,
+        tracer: Option<&Tracer>,
+    ) -> Result<(Arc<PreparedStatement>, Vec<Value>, bool)> {
+        let parse_span = tracer.map(|t| t.begin("parse"));
         let normalized = normalize_select(sql).inspect_err(|_| self.stats.error())?;
-        if let Some(inner) = self.cache.get_statement(planner, &normalized.key) {
+        if let (Some(t), Some(s)) = (tracer, parse_span) {
+            t.end(s);
+        }
+        if let Some(stmt) = self.cache.get_statement(planner, &normalized.key) {
             self.stats.cache_hit();
-            return Ok(Prepared { inner });
+            return Ok((stmt, normalized.params, true));
         }
         self.stats.cache_miss();
-        let inner = self
+        if let Some(t) = tracer {
+            t.begin("plan");
+        }
+        let stmt = self
             .plan_statement(
                 normalized.key,
                 normalized.params.len(),
@@ -512,8 +500,8 @@ impl Server {
                 planner,
             )
             .inspect_err(|_| self.stats.error())?;
-        self.stats.evicted(self.cache.put_statement(&inner));
-        Ok(Prepared { inner })
+        self.stats.evicted(self.cache.put_statement(&stmt));
+        Ok((stmt, normalized.params, false))
     }
 
     /// Execute a prepared statement with fresh parameter values — never
@@ -548,27 +536,18 @@ impl Server {
         &self,
         key: String,
         param_count: usize,
-        parsed: basilisk_sql::SelectStmt,
+        parsed: SelectStmt,
         planner: PlannerKind,
     ) -> Result<Arc<PreparedStatement>> {
         self.stats.prepared();
         let limit = parsed.limit;
-        let star = matches!(parsed.projection, Projection::Star);
-        let is_count = matches!(parsed.projection, Projection::Count);
+        let is_count = parsed.projection == Projection::Count;
+        let star = parsed.projection == Projection::Star;
         let mut query = parsed.into_query();
         if star {
-            let mut cols = Vec::new();
-            for (alias, table_name) in &query.aliases {
-                let table = self.catalog.table(table_name)?;
-                for name in table.column_names() {
-                    cols.push(ColumnRef::new(alias.clone(), name));
-                }
-            }
-            query.projection = cols;
+            query = query.select_all(&self.catalog)?;
         }
-        // Plan on a throwaway serial context: planning never executes,
-        // so it needs no workers and warms no arena.
-        let session = QuerySession::new(&self.catalog, query)?.with_context(ExecContext::new(1));
+        let session = QuerySession::new(&self.catalog, query)?;
         let plan = session.plan(planner)?;
         Ok(Arc::new(PreparedStatement {
             key,
@@ -589,9 +568,26 @@ impl Server {
         }))
     }
 
-    /// Bind, admit, execute, materialize, release. A statement that is
-    /// not a `cache_hit` was just planned by the caller under an open
-    /// `plan` span; the bind joins that span instead of opening another.
+    /// Plan a statement's shape afresh for a binding its cached plan
+    /// cannot serve. `QuerySession::new` re-derives the three-valued flag
+    /// from the bound predicate, NULL literals included.
+    fn replan(&self, stmt: &PreparedStatement, predicate: Expr) -> Result<(QuerySession, Plan)> {
+        self.stats.prepared();
+        let mut query = stmt.query.clone();
+        query.predicate = Some(predicate);
+        let session = QuerySession::new(&self.catalog, query)?;
+        let plan = session.plan(stmt.planner)?;
+        Ok((session, plan))
+    }
+
+    /// The one statement path: bind, build the bound tree, check that the
+    /// cached plan can serve it (re-planning if not), admit, execute on
+    /// the borrowed context, release. Everything that plans runs before
+    /// admission, under the request's `plan` span; the context is
+    /// acquired and released here and only lent in between. A statement
+    /// that is not a `cache_hit` was just planned by the caller under an
+    /// open `plan` span; the bind joins that span instead of opening
+    /// another.
     fn run_statement(
         &self,
         stmt: &Arc<PreparedStatement>,
@@ -609,17 +605,16 @@ impl Server {
                 t.current()
             }
         });
-        let t_bind = Instant::now();
-        let mut query = stmt.query.clone();
-        if stmt.param_count > 0 {
-            let template = query
-                .predicate
-                .as_ref()
-                .expect("parameters imply a predicate");
-            query.predicate = Some(bind_params(template, params).inspect_err(|_| {
-                self.stats.error();
-            })?);
-        }
+        let t_plan = Instant::now();
+        // A statement without parameters is its own binding: the cached
+        // tree is the bound tree.
+        let bound = match &stmt.query.predicate {
+            Some(template) if stmt.param_count > 0 => {
+                Some(bind_params(template, params).inspect_err(|_| self.stats.error())?)
+            }
+            _ => None,
+        };
+        let bound_tree = bound.as_ref().map(PredicateTree::build);
         // Three reasons the cached plan may not be reusable for this
         // binding, all rare and all re-planned on the spot:
         //  * congruence — the plan addresses the prepare-time predicate
@@ -633,20 +628,32 @@ impl Server {
         //    two-valued makes its atom evaluate to unknown on every
         //    row, which only three-valued tag maps handle (the re-plan
         //    detects the NULL literal and builds them).
-        let bound_tree = query.predicate.as_ref().map(PredicateTree::build);
-        let congruent = match (&stmt.tree, &bound_tree) {
-            (None, None) => true,
-            (Some(a), Some(b)) => {
+        let congruent = bound_tree.as_ref().is_none_or(|b| {
+            stmt.tree.as_ref().is_some_and(|a| {
                 a.congruent_modulo_values(b) && implication_signature(b) == stmt.implications
-            }
-            _ => false,
-        };
+            })
+        });
         let null_upgrade = !stmt.three_valued && params.iter().any(|v| matches!(v, Value::Null));
-        let reusable = congruent && !null_upgrade;
-        let bind_time = t_bind.elapsed();
+        let replanned = match bound {
+            Some(predicate) if !congruent || null_upgrade => Some(
+                self.replan(stmt, predicate)
+                    .inspect_err(|_| self.stats.error())?,
+            ),
+            _ => None,
+        };
+        let (plan, tables, tree) = match &replanned {
+            Some((session, plan)) => (plan, session.tables(), session.tree()),
+            None => (
+                &stmt.plan,
+                &stmt.tables,
+                bound_tree.as_ref().or(stmt.tree.as_ref()),
+            ),
+        };
+        let planning = t_plan.elapsed();
+        let reused = cache_hit && replanned.is_none();
         if let (Some(t), Some(s)) = (tracer.as_ref(), plan_span) {
-            t.attr(s, "cache_hit", i64::from(cache_hit && reusable));
-            t.attr(s, "rebind", i64::from(!reusable));
+            t.attr(s, "cache_hit", i64::from(reused));
+            t.attr(s, "rebind", i64::from(replanned.is_some()));
             t.end(s);
         }
 
@@ -660,145 +667,92 @@ impl Server {
         if let (Some(t), Some(s)) = (tracer.as_ref(), wait_span) {
             t.end(s);
         }
-        let (ctx, result) =
-            self.execute_on_context(stmt, query, reusable, bind_time, ctx, tracer.as_ref());
+        let result = execute(&ctx, stmt, plan, tables, tree, tracer.as_ref());
         self.gate.release(ctx, &self.stats);
-        match result {
-            Ok(mut r) => {
-                r.cache_hit = cache_hit && reusable;
-                r.queue_wait = queue_wait;
-                self.stats.executed(r.timings.total());
-                let trace = tracer.map(Tracer::finish);
-                let total_micros = t_total.elapsed().as_micros() as u64;
-                if self.slow_threshold_micros != u64::MAX
-                    && total_micros >= self.slow_threshold_micros
-                {
-                    self.slow.push(SlowQuery {
-                        statement: stmt.key.clone(),
-                        client: client.to_string(),
-                        priority: priority.as_str(),
-                        row_count: r.row_count,
-                        cache_hit: r.cache_hit,
-                        queue_wait_micros: queue_wait.as_micros() as u64,
-                        total_micros,
-                        trace: trace.clone(),
-                    });
-                }
-                r.trace = trace;
-                Ok(r)
-            }
-            Err(e) => {
-                self.stats.error();
-                Err(e)
-            }
+        let mut r = result.inspect_err(|_| self.stats.error())?;
+        r.timings.planning = planning;
+        r.cache_hit = reused;
+        r.queue_wait = queue_wait;
+        self.stats.executed(r.timings.total());
+        let trace = tracer.map(Tracer::finish);
+        let total_micros = t_total.elapsed().as_micros() as u64;
+        if self.slow_threshold_micros != u64::MAX && total_micros >= self.slow_threshold_micros {
+            self.slow.push(SlowQuery {
+                statement: stmt.key.clone(),
+                client: client.to_string(),
+                priority: priority.as_str(),
+                row_count: r.row_count,
+                cache_hit: r.cache_hit,
+                queue_wait_micros: queue_wait.as_micros() as u64,
+                total_micros,
+                trace: trace.clone(),
+            });
         }
+        r.trace = trace;
+        Ok(r)
     }
+}
 
-    /// The context-holding span of a request. Always returns the context
-    /// (error paths included) so the gate never leaks capacity.
-    fn execute_on_context(
-        &self,
-        stmt: &PreparedStatement,
-        query: Query,
-        reusable: bool,
-        bind_time: Duration,
-        ctx: ExecContext,
-        tracer: Option<&Tracer>,
-    ) -> (ExecContext, Result<Response>) {
-        // Build the session without surrendering the context on failure.
-        let (session, plan, planning) = if reusable {
-            let est = match Estimator::new(&self.catalog, &query.aliases) {
-                Ok(e) => e,
-                Err(e) => return (ctx, Err(e)),
-            };
-            let session =
-                QuerySession::prepared(est, query, stmt.tables.clone(), stmt.three_valued, ctx);
-            (session, None, bind_time)
-        } else {
-            // The binding invalidated the cached plan (value-coincident
-            // DAG change, or a NULL requiring three-valued maps):
-            // re-plan this execution from scratch on the checked-out
-            // context (`QuerySession::new` re-derives the three-valued
-            // flag from the bound predicate, NULL literals included).
-            let t0 = Instant::now();
-            self.stats.prepared();
-            let session = match QuerySession::new(&self.catalog, query) {
-                Ok(s) => s,
-                Err(e) => return (ctx, Err(e)),
-            };
-            let session = session.with_context(ctx);
-            match session.plan(stmt.planner) {
-                Ok(p) => (session, Some(p), bind_time + t0.elapsed()),
-                Err(e) => return (session.into_context(), Err(e)),
-            }
-        };
-        let plan: &Plan = plan.as_ref().unwrap_or(&stmt.plan);
-
-        let t1 = Instant::now();
-        let result = (|| -> Result<Response> {
-            let exec_span = tracer.map(|t| t.begin("execute"));
-            // A `COUNT(*)` runs its plan to the root operator and counts
-            // there; nothing of the output relation is materialized.
-            let (rows, output) = if stmt.is_count {
-                (session.count(plan, tracer)?, None)
-            } else {
-                let output = session.execute_traced(plan, tracer)?;
-                (output.count(), Some(output))
-            };
-            if let (Some(t), Some(s)) = (tracer, exec_span) {
-                t.attr(s, "rows", rows);
-                t.end(s);
-            }
-            let execution = t1.elapsed();
-            let (columns, row_count) = match output {
-                Some(output) => self.materialize(&session, &output, stmt.limit)?,
-                // One row, one synthetic column (LIMIT 0 still yields the
-                // count row, matching SQL aggregates).
-                None => (
-                    vec![(
-                        ColumnRef::new("", "count(*)"),
-                        Arc::new(Column::from_ints(vec![rows as i64])),
-                    )],
-                    1,
-                ),
-            };
-            Ok(Response {
-                columns,
-                row_count,
-                planner: stmt.planner,
-                chosen: stmt.chosen,
-                timings: PlanTimings {
-                    planning,
-                    execution,
-                },
-                cache_hit: false,           // set by the caller
-                queue_wait: Duration::ZERO, // set by the caller
-                trace: None,                // set by the caller
-            })
-        })();
-        (session.into_context(), result)
+/// Run `plan` on the borrowed context and lower its output: the
+/// projected rows cut to the statement's `LIMIT`, or for a
+/// `COUNT(*)` one synthetic `count(*)` row (the plan runs to its root
+/// operator and counts there; nothing of the output is built).
+fn execute(
+    ctx: &ExecContext,
+    stmt: &PreparedStatement,
+    plan: &Plan,
+    tables: &TableSet,
+    tree: Option<&PredicateTree>,
+    tracer: Option<&Tracer>,
+) -> Result<Response> {
+    let t0 = Instant::now();
+    let exec_span = tracer.map(|t| t.begin("execute"));
+    let (rows, output) = if stmt.is_count {
+        (ctx.count(plan, tables, tree, tracer)?, None)
+    } else {
+        let output = ctx.execute(plan, tables, tree, tracer)?;
+        (output.count(), Some(output))
+    };
+    if let (Some(t), Some(s)) = (tracer, exec_span) {
+        t.attr(s, "rows", rows);
+        t.end(s);
     }
-
-    /// Shared lowering of an executed output: projection and `LIMIT`.
-    fn materialize(
-        &self,
-        session: &QuerySession,
-        output: &QueryOutput,
-        limit: Option<usize>,
-    ) -> Result<(OutputColumns, usize)> {
-        let mut columns = session.project(output)?;
-        let mut row_count = output.count();
-        if let Some(l) = limit {
-            if l < row_count {
-                let keep: Vec<u32> = (0..l as u32).collect();
+    let execution = t0.elapsed();
+    let (columns, row_count) = match output {
+        Some(output) => {
+            let mut columns = ctx.project(tables, &output, &stmt.query.projection)?;
+            let row_count = stmt.limit.map_or(rows, |l| l.min(rows));
+            if row_count < rows {
+                let keep: Vec<u32> = (0..row_count as u32).collect();
                 for (_, col) in &mut columns {
                     *col = Arc::new(col.gather(&keep));
                 }
-                row_count = l;
             }
+            (columns, row_count)
         }
-        Ok((columns, row_count))
-    }
+        // One row, one synthetic column (LIMIT 0 still yields the
+        // count row, matching SQL aggregates).
+        None => (
+            vec![(
+                ColumnRef::new("", "count(*)"),
+                Arc::new(Column::from_ints(vec![rows as i64])),
+            )],
+            1,
+        ),
+    };
+    Ok(Response {
+        columns,
+        row_count,
+        planner: stmt.planner,
+        chosen: stmt.chosen,
+        timings: PlanTimings {
+            planning: Duration::ZERO, // set by the caller
+            execution,
+        },
+        cache_hit: false,           // set by the caller
+        queue_wait: Duration::ZERO, // set by the caller
+        trace: None,                // set by the caller
+    })
 }
 
 /// Wire the server's three metric sources into the registry. Collectors

@@ -9,8 +9,8 @@ use crate::lexer::{tokenize, Token, TokenKind};
 /// What the SELECT clause projects.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Projection {
-    /// `SELECT *` — all columns of all tables (resolved against the
-    /// catalog by the database layer).
+    /// `SELECT *` — all columns of all tables (expanded against the
+    /// catalog by [`Query::select_all`]).
     Star,
     Columns(Vec<ColumnRef>),
     /// `SELECT COUNT(*)` — the row count only.
@@ -32,7 +32,7 @@ pub struct SelectStmt {
 
 impl SelectStmt {
     /// Lower to the planner's [`Query`]. `Star` lowers to an empty
-    /// projection list; the database layer expands it.
+    /// projection list; [`Query::select_all`] expands it.
     pub fn into_query(self) -> Query {
         let mut q = Query::new(self.tables);
         for (l, r) in self.joins {

@@ -114,33 +114,12 @@ impl ColumnHandle {
     /// Read the values selected by `bitmap`, in ascending row order,
     /// applying the sequential-vs-random policy for disk columns.
     pub fn read_selected(&self, bitmap: &Bitmap, threshold: f64) -> Result<Column> {
-        let mut scratch = Vec::new();
-        self.read_selected_with(bitmap, threshold, &mut scratch)
-    }
-
-    /// [`Self::read_selected`] with a caller-supplied index scratch buffer
-    /// (`Bitmap::indices_into`), so per-column loops decode into one
-    /// reused allocation instead of a fresh `Vec` per column.
-    pub fn read_selected_with(
-        &self,
-        bitmap: &Bitmap,
-        threshold: f64,
-        scratch: &mut Vec<u32>,
-    ) -> Result<Column> {
         match self {
-            ColumnHandle::Mem(c) => {
-                bitmap.indices_into(scratch);
-                Ok(c.gather(scratch))
-            }
-            ColumnHandle::Enc(e) => {
-                bitmap.indices_into(scratch);
-                Ok(e.gather(scratch))
-            }
+            ColumnHandle::Mem(c) => Ok(c.gather(&bitmap.to_indices())),
+            ColumnHandle::Enc(e) => Ok(e.gather(&bitmap.to_indices())),
             ColumnHandle::Disk(d) => {
                 if bitmap.selectivity() > threshold {
-                    let full = d.scan()?;
-                    bitmap.indices_into(scratch);
-                    Ok(full.gather(scratch))
+                    Ok(d.scan()?.gather(&bitmap.to_indices()))
                 } else {
                     d.read_selected(bitmap)
                 }
