@@ -48,6 +48,28 @@ fn time_ns(samples: usize, mut f: impl FnMut() -> usize) -> f64 {
     times[times.len() / 2] as f64
 }
 
+/// Minimum wall-clock nanoseconds of `a` and of `b` over `samples` runs
+/// each (one warmup each), run alternately `a, b, a, b, …` so both sides
+/// sample the same stretch of host noise.
+fn time_pair_min_ns(
+    samples: usize,
+    mut a: impl FnMut() -> usize,
+    mut b: impl FnMut() -> usize,
+) -> (f64, f64) {
+    std::hint::black_box(a());
+    std::hint::black_box(b());
+    let mut min = [u128::MAX; 2];
+    for _ in 0..samples.max(3) {
+        let t0 = Instant::now();
+        std::hint::black_box(a());
+        min[0] = min[0].min(t0.elapsed().as_nanos());
+        let t0 = Instant::now();
+        std::hint::black_box(b());
+        min[1] = min[1].min(t0.elapsed().as_nanos());
+    }
+    (min[0] as f64, min[1] as f64)
+}
+
 struct Report {
     entries: Vec<(String, f64)>,
 }
@@ -347,9 +369,13 @@ fn main() {
     let sel: Vec<u32> = (0..(ROWS as u32) / 2)
         .map(|j| j.wrapping_mul(2_654_435_761) % ROWS as u32)
         .collect();
-    report.push(
-        "gather/fresh_scalar",
-        time_ns(samples, || {
+    // The two sides' samples alternate and each keeps its minimum: the
+    // fresh side's allocation and page-fault cost swings with the host,
+    // and a slow stretch must not land on one side only. The two report
+    // entries (`median_ns` in the JSON) hold these minimums.
+    let (fresh, pooled) = time_pair_min_ns(
+        samples,
+        || {
             let cols: Vec<std::sync::Arc<Vec<u32>>> = src_cols
                 .iter()
                 .map(|c| {
@@ -357,11 +383,8 @@ fn main() {
                 })
                 .collect();
             cols.iter().map(|c| c.len()).sum()
-        }),
-    );
-    report.push(
-        "gather/pooled_kernel",
-        time_ns(samples, || {
+        },
+        || {
             let cols: Vec<std::sync::Arc<Vec<u32>>> = src_cols
                 .iter()
                 .map(|c| {
@@ -375,8 +398,10 @@ fn main() {
                 arena.columns().recycle(c);
             }
             n
-        }),
+        },
     );
+    report.push("gather/fresh_scalar", fresh);
+    report.push("gather/pooled_kernel", pooled);
 
     // --- morsel-parallel scaling: 1 worker vs 4 workers ------------------
     // A tagged filter+join pipeline big enough to fan out (6 morsels per

@@ -265,9 +265,10 @@ pub fn tagged_join(
 
     // Build/probe preparation. One shared hash table over all
     // participating left slices (§2.5.3's "one giant hash table"), CSR
-    // layout keyed with FxHash: probing a key yields a contiguous slice
-    // of left positions, no per-key Vec allocs. The table interns key
-    // values, so the build keys recycle right away.
+    // layout with typed keys: probing a key yields a contiguous slice of
+    // left positions, no per-key Vec allocs, and Int keys are read as
+    // `i64`s on both sides. The table keeps no reference to its key
+    // column, so the build keys recycle right away.
     //
     // When both sides are big enough to fan out, the **build side ships
     // to the pool as a schedulable task**: one worker decodes the left
@@ -374,10 +375,7 @@ pub fn tagged_join(
     let right_membership = right.slice_membership(arena);
     let probed = cx.probe(right_positions.len(), count.is_some(), |range, out| {
         for (j, &rpos) in right_positions[range.clone()].iter().enumerate() {
-            let Some(k) = basilisk_exec::join_key(&right_keys, range.start + j) else {
-                continue;
-            };
-            let matches = table.probe(&k);
+            let matches = table.probe_at(&right_keys, range.start + j);
             if matches.is_empty() {
                 continue;
             }

@@ -20,4 +20,4 @@ mod relation;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher, JoinTable};
 pub use ops::{combine, filter, hash_join, project_in, union_all_dedup};
 pub use par::{Emit, ExecCtx};
-pub use relation::{join_key, IdxRelation, RelProvider, TableSet};
+pub use relation::{IdxRelation, RelProvider, TableSet};

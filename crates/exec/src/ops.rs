@@ -94,9 +94,10 @@ pub fn hash_join(
 
     // One hash table for the whole build side (§2.5.3's "one giant hash
     // table" — in the untagged engine there are no slices to share it
-    // across, but the structure is identical). CSR layout + FxHash: no
-    // per-key Vec allocations, no SipHash on the hot path. The table
-    // interns key values, so the build column is dead once it's built.
+    // across, but the structure is identical). CSR layout with typed
+    // keys: no per-key Vec allocations, no SipHash and no `Value` per row
+    // on the hot path. The table keeps no reference to the key column,
+    // so the build column is dead once it's built.
     let table = JoinTable::build(&build_col, |i| i as u32);
     build_col.recycle(arena);
 

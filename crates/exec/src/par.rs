@@ -41,7 +41,6 @@ use basilisk_sched::WorkerPool;
 use basilisk_types::{Bitmap, MaskArena, Morsel, Result, Tracer, TruthMask};
 
 use crate::hash::JoinTable;
-use crate::relation::join_key;
 
 /// What one plan execution runs against (see the module docs).
 #[derive(Clone, Copy)]
@@ -265,8 +264,9 @@ pub(crate) fn probe_range(
     mut emit: impl FnMut(u32, &[u32]),
 ) {
     for j in range {
-        if let Some(k) = join_key(probe_col, j) {
-            emit(j as u32, table.probe(&k));
+        let rows = table.probe_at(probe_col, j);
+        if !rows.is_empty() {
+            emit(j as u32, rows);
         }
     }
 }

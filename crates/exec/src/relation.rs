@@ -7,7 +7,7 @@ use basilisk_catalog::Catalog;
 use basilisk_expr::eval::ColumnProvider;
 use basilisk_expr::ColumnRef;
 use basilisk_storage::{Column, Table};
-use basilisk_types::{BasiliskError, Result, Value};
+use basilisk_types::{BasiliskError, Result};
 
 /// The tables visible to one query: alias → table. Built once per query
 /// from the catalog and shared by every operator.
@@ -411,20 +411,11 @@ fn scatter_aligned(compact: &Column, sel: &basilisk_types::Bitmap) -> Column {
     Column::new(data, Some(validity)).expect("scatter_aligned builds consistent columns")
 }
 
-/// Extract the join key at row `i` of a key column; `None` for NULL (SQL
-/// equi-joins never match NULLs).
-pub fn join_key(col: &Column, i: usize) -> Option<Value> {
-    if !col.is_valid(i) {
-        return None;
-    }
-    Some(col.value(i))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use basilisk_storage::TableBuilder;
-    use basilisk_types::{DataType, MaskArena};
+    use basilisk_types::{DataType, MaskArena, Value};
 
     /// A base relation over a throwaway arena.
     fn base(alias: &str, rows: usize) -> IdxRelation {
@@ -530,17 +521,6 @@ mod tests {
         let full = base("t", 3);
         let p = RelProvider::new(&ts, &full);
         assert!(p.fetch_encoded(&ColumnRef::new("t", "id")).is_none());
-    }
-
-    #[test]
-    fn join_key_null_handling() {
-        use basilisk_storage::ColumnBuilder;
-        let mut b = ColumnBuilder::new(DataType::Int);
-        b.push(Value::Int(5)).unwrap();
-        b.push(Value::Null).unwrap();
-        let c = b.finish();
-        assert_eq!(join_key(&c, 0), Some(Value::Int(5)));
-        assert_eq!(join_key(&c, 1), None);
     }
 
     #[test]
